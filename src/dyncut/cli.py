@@ -73,7 +73,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     config = _engine_config(args)
     if not config.report_edges and any(e.kind == QUERY_CUT for e in stream.events):
         config.report_edges = True
-    engine = Engine(stream.n, config)
+    engine = _new_engine(stream.n, config)
     started = time.perf_counter()
     for ev in stream.events:
         if ev.kind == INSERT:
@@ -108,6 +108,13 @@ class UsageError(Exception):
     pass
 
 
+def _new_engine(n: int, config: EngineConfig) -> Engine:
+    try:
+        return Engine(n, config)
+    except ValueError as exc:  # a bad engine flag, such as --copies 0
+        raise UsageError(str(exc)) from exc
+
+
 def _oracle_for(name: str, n: int):
     if name == "brute" or (name == "auto" and n <= BRUTE_FORCE_LIMIT - 4):
         if n > BRUTE_FORCE_LIMIT:
@@ -128,7 +135,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     oracle = _oracle_for(args.oracle, stream.n)
     config = _engine_config(args)
     config.report_edges = True
-    engine = Engine(stream.n, config)
+    engine = _new_engine(stream.n, config)
     shadow = WeightedGraph(range(stream.n))
     checked = 0
     failures = 0
@@ -177,7 +184,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 degree=args.degree,
             )
             config = EngineConfig(mode=args.mode, copies=args.copies, seed=args.seed)
-            engine = Engine(n, config)
+            engine = _new_engine(n, config)
             for ev in stream.events:
                 t0 = time.perf_counter()
                 if ev.kind == INSERT:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .contraction import DEFAULT_BUDGET_COEFF, DEFAULT_CENTER_COEFF, StarInstance
@@ -49,15 +50,20 @@ class EngineStats:
 class Engine:
     """Maintains the exact global minimum cut value under edge updates.
 
-    One contraction instance per threshold 2^i, i = 0..ceil(log2 n), is
-    replicated across independent copies. In packed mode each instance
-    feeds its quotient weight deltas into a forest packing of depth
-    2^(i+1) and queries run a static cut on the packing's union graph; in
-    direct mode instances relabel lazily and queries run the static cut on
-    the quotient graph itself. A query consults only the instances at the
-    threshold level just below the current minimum degree, skips incomplete
-    ones, and never answers below the true cut value; the minimum degree is
-    an always-valid fallback.
+    Each independent copy draws one contraction instance per threshold
+    2^i, i = 0..ceil(log2 n). An instance whose drawn center set is all of
+    V is the identity contraction: it has no samplers, so every such
+    instance holds the same quotient (the graph itself) under the same
+    updates, and one shared identity instance fills all of those grid
+    cells. In packed mode each instance feeds its quotient weight deltas
+    into a forest packing of depth 2^(i+1), one packing per level for the
+    shared identity instance, and queries run a static cut on the
+    packing's union graph; in direct mode instances relabel lazily and
+    queries run the static cut on the quotient graph itself. Each update
+    reaches every distinct instance and packing once. A query consults
+    only the distinct instances at the threshold level just below the
+    current minimum degree, skips incomplete ones, and never answers below
+    the true cut value; the minimum degree is an always-valid fallback.
     """
 
     def __init__(self, n: int, config: EngineConfig | None = None) -> None:
@@ -69,9 +75,33 @@ class Engine:
         self.n = n
         log_n = math.log2(max(n, 2))
         self.levels = math.ceil(log_n) + 1
-        self.copies = self.config.copies or max(1, math.ceil(5 * log_n))
+        if self.config.copies is None:
+            self.copies = max(1, math.ceil(5 * log_n))
+        elif self.config.copies < 1:
+            raise ValueError(f"copies must be positive, got {self.config.copies}")
+        else:
+            self.copies = self.config.copies
         self.graph = DynamicGraph(n)
-        instance_mode = "eager" if self.config.mode == MODE_PACKED else "lazy"
+        packed = self.config.mode == MODE_PACKED
+        instance_mode = "eager" if packed else "lazy"
+        everyone = frozenset(range(n))
+        # Stands in for every drawn identity instance. Its threshold is moot:
+        # with no non-centers it never queues a relabel, and its relabel
+        # budget does not read the threshold.
+        identity = StarInstance(
+            n,
+            threshold=1,
+            mode=instance_mode,
+            center_coeff=self.config.center_coeff,
+            budget_coeff=self.config.budget_coeff,
+            centers=everyone,
+        )
+        # Each distinct instance once, with its packing at each level it
+        # fills and the number of grid cells it fills there.
+        views: dict[StarInstance, tuple[dict[int, ForestPacking], Counter]] = {}
+        # Per level, the copies whose cell first holds a distinct instance.
+        self._query_copies: list[list[int]] = [[] for _ in range(self.levels)]
+        # Grids of copies x levels whose cells alias the shared objects.
         self._instances: list[list[StarInstance]] = []
         self._packings: list[list[ForestPacking]] = []
         for c in range(self.copies):
@@ -86,11 +116,22 @@ class Engine:
                     center_coeff=self.config.center_coeff,
                     budget_coeff=self.config.budget_coeff,
                 )
+                if inst.centers == everyone:
+                    inst = identity
+                level_packings, cells = views.setdefault(inst, ({}, Counter()))
+                if not cells[i]:
+                    self._query_copies[i].append(c)
+                    if packed:
+                        level_packings[i] = ForestPacking(
+                            2 ** (i + 1), n, inst.centers
+                        )
+                cells[i] += 1
                 row.append(inst)
-                if self.config.mode == MODE_PACKED:
-                    packs.append(ForestPacking(2 ** (i + 1), n, inst.centers))
+                if packed:
+                    packs.append(level_packings[i])
             self._instances.append(row)
             self._packings.append(packs)
+        self._views = [(inst, *view) for inst, view in views.items()]
         self.stats = EngineStats(
             complete_steps=[0] * self.levels, copies=self.copies
         )
@@ -109,27 +150,21 @@ class Engine:
             self.graph.delete_edge(key)
         else:
             raise ValueError(f"update sign must be +1 or -1, got {sign}")
-        packed = self.config.mode == MODE_PACKED
         any_queue = False
-        complete = [0] * self.levels
-        for c in range(self.copies):
-            row = self._instances[c]
-            for i in range(self.levels):
-                inst = row[i]
-                deltas = inst.apply_update(key, sign)
-                if packed:
-                    packing = self._packings[c][i]
-                    for quotient_edge, d in deltas:
-                        packing.apply_delta(quotient_edge, d)
-                elif inst.has_pending():
-                    any_queue = True
-                if inst.is_complete():
-                    complete[i] += 1
+        complete_steps = self.stats.complete_steps
+        for inst, level_packings, cells in self._views:
+            deltas = inst.apply_update(key, sign)
+            for packing in level_packings.values():
+                for quotient_edge, d in deltas:
+                    packing.apply_delta(quotient_edge, d)
+            if inst.has_pending():
+                any_queue = True
+            if inst.is_complete():
+                for i, count in cells.items():
+                    complete_steps[i] += count
         self.stats.updates += 1
         if any_queue:
             self.stats.queue_nonempty_steps += 1
-        for i in range(self.levels):
-            self.stats.complete_steps[i] += complete[i]
 
     # -- queries ---------------------------------------------------------
 
@@ -144,7 +179,7 @@ class Engine:
         best = degree
         kind = "degree"
         payload: object = self.graph.min_degree_vertex()
-        for c in range(self.copies):
+        for c in self._query_copies[level]:
             inst = self._instances[c][level]
             if not inst.is_complete():
                 continue

@@ -145,6 +145,20 @@ def test_bench_emits_table(capsys):
     assert lines[1].startswith("16 direct")
 
 
+@pytest.mark.parametrize("command", ["run", "verify", "bench"])
+def test_bad_copies_exit_two(tmp_path, capsys, command):
+    path = tmp_path / "c5.txt"
+    path.write_text(_cycle_stream(5))
+    argv = [command, "--copies", "-2"]
+    if command == "bench":
+        argv += ["--sizes", "8", "--reps", "1", "--steps", "10"]
+    else:
+        argv.append(str(path))
+    code, _, err = _run(capsys, *argv)
+    assert code == 2
+    assert err == "dyncut: copies must be positive, got -2\n"
+
+
 def test_usage_error_exit_two(capsys):
     with pytest.raises(SystemExit) as err:
         main(["run"])  # missing stream argument

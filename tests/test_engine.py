@@ -8,6 +8,7 @@ from itertools import combinations
 
 import pytest
 
+import dyncut.engine as engine_module
 from dyncut import (
     MODE_DIRECT,
     MODE_PACKED,
@@ -17,6 +18,7 @@ from dyncut import (
     brute_force_mincut,
     edge_key,
 )
+from dyncut.contraction import StarInstance
 
 MODES = (MODE_PACKED, MODE_DIRECT)
 
@@ -222,6 +224,9 @@ def test_rejects_bad_config():
         Engine(0)
     with pytest.raises(ValueError):
         Engine(4, EngineConfig(mode="sideways"))
+    for copies in (0, -2):
+        with pytest.raises(ValueError):
+            Engine(8, EngineConfig(copies=copies))
 
 
 def test_update_validates_sign():
@@ -238,3 +243,70 @@ def test_stats_counters():
     assert eng.stats.updates == 6
     assert eng.stats.queries == 2
     assert len(eng.stats.completeness_rates()) == eng.levels
+
+
+def _two_k4_bridge():
+    return (list(combinations(range(4), 2)) + list(combinations(range(4, 8), 2))
+            + [(3, 4)])
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = [0]
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_identity_views_are_shared(monkeypatch, mode):
+    # At the default coefficient every level is an identity view, so each
+    # update reaches one instance and each query runs one static cut,
+    # however many copies the grid has.
+    updates = _count_calls(monkeypatch, StarInstance, "apply_update")
+    cuts = _count_calls(monkeypatch, engine_module, "stoer_wagner")
+    eng = Engine(8, _cfg(mode, copies=6, report_edges=True))
+    edges = _two_k4_bridge()
+    _fill(eng, edges)
+    assert updates[0] == len(edges)
+    assert eng.query_value() == 1
+    assert eng.query_cut().cut_edges == frozenset({(3, 4)})
+    assert cuts[0] == 2
+    shared = {id(inst) for row in eng._instances for inst in row}
+    assert len(shared) == 1
+    if mode == MODE_PACKED:
+        packings = {id(p) for row in eng._packings for p in row}
+        assert len(packings) == eng.levels
+    assert eng.stats.completeness_rates() == [1.0] * eng.levels
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_contracting_levels_keep_their_copies(monkeypatch, mode):
+    # center probability min(1, 2 * log2(64) / 2^i): levels 0..3 are the
+    # identity, levels 4..6 contract and keep one instance per copy
+    updates = _count_calls(monkeypatch, StarInstance, "apply_update")
+    copies = 3
+    eng = Engine(64, _cfg(mode, copies=copies, center_coeff=2.0))
+    contracting = [4, 5, 6]
+    for i in range(eng.levels):
+        distinct = {id(row[i]) for row in eng._instances}
+        assert len(distinct) == (copies if i in contracting else 1)
+        if mode == MODE_PACKED:
+            assert len({id(row[i]) for row in eng._packings}) == len(distinct)
+    eng.insert((0, 1))
+    assert updates[0] == 1 + copies * len(contracting)
+
+
+def test_drawn_identity_shares_a_mixed_level():
+    # center probability 2.5 * log2(8) / 8 < 1 at level 3, yet some copies
+    # draw every vertex: those cells alias the shared identity instance
+    eng = Engine(8, _cfg(MODE_PACKED, copies=6, center_coeff=2.5))
+    cells = [row[3] for row in eng._instances]
+    drawn_all = [inst for inst in cells if len(inst.centers) == 8]
+    assert 0 < len(drawn_all) < len(cells)
+    assert {id(inst) for inst in drawn_all} == {id(eng._instances[0][0])}
+    assert len({id(inst) for inst in cells}) == 1 + len(cells) - len(drawn_all)
