@@ -30,6 +30,10 @@ class RelabelTask:
 class StarInstance:
     """One contraction of the input graph at a fixed degree threshold.
 
+    The instance reads the caller's DynamicGraph and never changes it: the
+    caller applies each edge update to that graph first, then passes the
+    same edge to apply_update. Any number of instances can read one graph.
+
     A random center set is drawn once at construction: each vertex becomes
     a center with probability min(1, coeff * log2(n) / threshold). Every
     non-center tracks its center neighbors in a StableSampler and is merged
@@ -48,7 +52,7 @@ class StarInstance:
 
     def __init__(
         self,
-        n: int,
+        graph: DynamicGraph,
         threshold: int,
         mode: str = "eager",
         seed: int = 0,
@@ -60,6 +64,8 @@ class StarInstance:
             raise ValueError("threshold must be positive")
         if mode not in ("eager", "lazy"):
             raise ValueError(f"unknown mode {mode!r}")
+        n = graph.n
+        self.graph = graph
         self.n = n
         self.threshold = threshold
         self.mode = mode
@@ -73,7 +79,6 @@ class StarInstance:
                 v for v in range(n) if self._rng.random() < self.center_probability
             )
         self.centers = centers
-        self.graph = DynamicGraph(n)
         self._samplers: dict[int, StableSampler] = {}
         # image: per live edge, the representative pair aligned with the
         # canonical endpoint order; a None side means the endpoint has no
@@ -126,7 +131,8 @@ class StarInstance:
     def apply_update(self, e: EdgeKey, sign: int) -> list[tuple[EdgeKey, int]]:
         """Apply one edge update; returns net quotient weight deltas.
 
-        sign is +1 for insertion, -1 for deletion. The returned list pairs
+        sign is +1 for insertion, -1 for deletion, and the caller has
+        already applied it to the graph. The returned list pairs
         quotient edge keys with the net weight change this update caused,
         including any deferred renames drained from the queue.
         """
@@ -135,11 +141,9 @@ class StarInstance:
         key = edge_key(*e)
         deltas: Counter[EdgeKey] = Counter()
         if sign == 1:
-            self.graph.insert_edge(key)
             pair = (self.representative(key[0]), self.representative(key[1]))
             self._retarget(key, pair, deltas)
         else:
-            self.graph.delete_edge(key)
             self._retarget(key, _CLEAR, deltas)
 
         u, v = key
@@ -157,7 +161,7 @@ class StarInstance:
                 else:
                     snapshot = [edge_key(other, x) for x in self.graph.neighbors(other)]
                     self._queue.append(RelabelTask(other, before, after, snapshot))
-        if self.mode == "lazy":
+        if self.mode == "lazy" and self._queue:
             self._drain(self.relabel_budget(), deltas)
         return [(c, d) for c, d in deltas.items() if d != 0]
 

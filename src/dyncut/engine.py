@@ -59,8 +59,11 @@ class Engine:
     into a forest packing of depth 2^(i+1), one packing per level for the
     shared identity instance, and queries run a static cut on the
     packing's union graph; in direct mode instances relabel lazily and
-    queries run the static cut on the quotient graph itself. Each update
-    reaches every distinct instance and packing once. A query consults
+    queries run the static cut on the quotient graph itself. Every
+    instance reads the engine's one DynamicGraph and keeps no copy of it:
+    an update is applied to that graph once, which rejects duplicate,
+    missing and out-of-range edges before any instance sees them, and
+    then reaches every distinct instance and packing once. A query consults
     only the distinct instances at the threshold level just below the
     current minimum degree, skips incomplete ones, and never answers below
     the true cut value; the minimum degree is an always-valid fallback.
@@ -89,7 +92,7 @@ class Engine:
         # with no non-centers it never queues a relabel, and its relabel
         # budget does not read the threshold.
         identity = StarInstance(
-            n,
+            self.graph,
             threshold=1,
             mode=instance_mode,
             center_coeff=self.config.center_coeff,
@@ -109,7 +112,7 @@ class Engine:
             packs = []
             for i in range(self.levels):
                 inst = StarInstance(
-                    n,
+                    self.graph,
                     threshold=2**i,
                     mode=instance_mode,
                     seed=_child_seed(self.config.seed, c, i),

@@ -7,6 +7,10 @@ from typing import Iterable, Iterator
 
 EdgeKey = tuple[int, int]
 
+# DynamicGraph rebuilds its min-degree heap from the live degrees once the
+# heap holds more than this many entries per vertex.
+_HEAP_SLACK = 4
+
 
 class GraphError(Exception):
     """Base class for graph state violations."""
@@ -45,10 +49,22 @@ class DynamicGraph:
         self.n = n
         self._adj: list[set[int]] = [set() for _ in range(n)]
         # Lazy heap of (degree, vertex); entries are stale once the vertex
-        # degree moves on. Cleaned on peek.
-        self._heap: list[tuple[int, int]] = [(0, v) for v in range(n)]
-        heapq.heapify(self._heap)
+        # degree moves on. Cleaned on peek, and rebuilt from the live
+        # degrees when stale entries pile up.
+        self._heap: list[tuple[int, int]] = []
+        self._rebuild_heap()
         self._edge_count = 0
+
+    def _rebuild_heap(self) -> None:
+        self._heap = [(len(adj), v) for v, adj in enumerate(self._adj)]
+        heapq.heapify(self._heap)
+
+    def _push_degrees(self, u: int, v: int) -> None:
+        heap = self._heap
+        heapq.heappush(heap, (len(self._adj[u]), u))
+        heapq.heappush(heap, (len(self._adj[v]), v))
+        if len(heap) > _HEAP_SLACK * self.n:
+            self._rebuild_heap()
 
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < self.n:
@@ -63,8 +79,7 @@ class DynamicGraph:
         self._adj[u].add(v)
         self._adj[v].add(u)
         self._edge_count += 1
-        heapq.heappush(self._heap, (len(self._adj[u]), u))
-        heapq.heappush(self._heap, (len(self._adj[v]), v))
+        self._push_degrees(u, v)
 
     def delete_edge(self, e: EdgeKey) -> None:
         u, v = edge_key(*e)
@@ -75,8 +90,7 @@ class DynamicGraph:
         self._adj[u].discard(v)
         self._adj[v].discard(u)
         self._edge_count -= 1
-        heapq.heappush(self._heap, (len(self._adj[u]), u))
-        heapq.heappush(self._heap, (len(self._adj[v]), v))
+        self._push_degrees(u, v)
 
     def has_edge(self, e: EdgeKey) -> bool:
         u, v = edge_key(*e)

@@ -23,6 +23,7 @@ from dyncut import (
     MODE_DIRECT,
     MODE_PACKED,
     DynamicForest,
+    DynamicGraph,
     Engine,
     EngineConfig,
     ForestPacking,
@@ -370,29 +371,38 @@ def test_criterion_08_forest_delta_contract():
              f"{FOREST_SEEDS * FOREST_UPDATES} updates, {bad} contract breaks")
 
 
+def _apply_to_instance(inst: StarInstance, e, sign: int) -> None:
+    """Apply an edge update to the instance's graph, then to the instance."""
+    if sign == 1:
+        inst.graph.insert_edge(e)
+    else:
+        inst.graph.delete_edge(e)
+    inst.apply_update(e, sign)
+
+
 def test_criterion_09_contraction_completeness():
     n = 64
     complete_steps = 0
     total_steps = 0
     for seed in range(COMPLETENESS_SEEDS):
-        inst = StarInstance(n, threshold=2, seed=seed)  # p clamps to 1
+        inst = StarInstance(DynamicGraph(n), threshold=2, seed=seed)  # p clamps to 1
         rng = random.Random(5000 + seed)
         present = set()
         for v in range(n):
             e = edge_key(v, (v + 1) % n)
-            inst.apply_update(e, +1)
+            _apply_to_instance(inst, e, +1)
             present.add(e)
         for _ in range(80):
             if rng.random() < 0.5:
                 u, v = rng.sample(range(n), 2)
                 e = edge_key(u, v)
                 if e not in present:
-                    inst.apply_update(e, +1)
+                    _apply_to_instance(inst, e, +1)
                     present.add(e)
             else:
                 e = rng.choice(sorted(present))
                 if min(inst.graph.degree(e[0]), inst.graph.degree(e[1])) > 2:
-                    inst.apply_update(e, -1)
+                    _apply_to_instance(inst, e, -1)
                     present.discard(e)
             assert inst.graph.min_degree() >= 2
             total_steps += 1

@@ -8,9 +8,29 @@ from itertools import combinations
 
 import pytest
 
-from dyncut import StarInstance, WeightedGraph, brute_force_mincut, edge_key
+from dyncut import (
+    DynamicGraph,
+    StarInstance,
+    WeightedGraph,
+    brute_force_mincut,
+    edge_key,
+)
 
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+
+
+def _star(n: int, **kw) -> StarInstance:
+    """An instance reading a fresh graph of its own on n vertices."""
+    return StarInstance(DynamicGraph(n), **kw)
+
+
+def _apply(inst: StarInstance, e, sign: int):
+    """Apply an edge update to the instance's graph, then to the instance."""
+    if sign == 1:
+        inst.graph.insert_edge(e)
+    else:
+        inst.graph.delete_edge(e)
+    return inst.apply_update(e, sign)
 
 
 def _recontract(inst: StarInstance) -> WeightedGraph:
@@ -34,18 +54,18 @@ def _scan_consistency(inst: StarInstance) -> None:
 
 
 def test_probability_clamps_to_one():
-    inst = StarInstance(16, threshold=2)
+    inst = _star(16, threshold=2)
     assert inst.center_probability == 1.0
     assert inst.centers == frozenset(range(16))
 
 
 def test_probability_arithmetic_at_default_coefficient():
-    inst = StarInstance(1024, threshold=512)
+    inst = _star(1024, threshold=512)
     assert inst.center_probability == 1.0  # min(1, 800*10/512)
 
 
 def test_probability_small_coefficient():
-    inst = StarInstance(1024, threshold=512, center_coeff=2.0)
+    inst = _star(1024, threshold=512, center_coeff=2.0)
     assert inst.center_probability == pytest.approx(0.0390625)
 
 
@@ -54,36 +74,36 @@ def test_center_count_concentrates():
     n, p, trials = 1024, 0.0390625, 300
     total = 0
     for seed in range(trials):
-        inst = StarInstance(n, threshold=512, center_coeff=2.0, seed=seed)
+        inst = _star(n, threshold=512, center_coeff=2.0, seed=seed)
         total += len(inst.centers)
     sigma = math.sqrt(n * p * (1 - p))
     assert abs(total / trials - 40.0) < 3 * sigma / math.sqrt(trials)
 
 
 def test_insert_between_centers():
-    inst = StarInstance(4, threshold=1, centers=frozenset({0, 1}))
-    assert inst.apply_update((0, 1), +1) == [((0, 1), 1)]
+    inst = _star(4, threshold=1, centers=frozenset({0, 1}))
+    assert _apply(inst, (0, 1), +1) == [((0, 1), 1)]
     assert dict(inst.contracted_graph().edges()) == {(0, 1): 1}
 
 
 def test_insert_between_orphan_noncenters():
-    inst = StarInstance(4, threshold=1, centers=frozenset({0}))
-    assert inst.apply_update((2, 3), +1) == []
+    inst = _star(4, threshold=1, centers=frozenset({0}))
+    assert _apply(inst, (2, 3), +1) == []
     assert not inst.is_complete()
 
 
 def test_identity_regime_matches_input():
-    inst = StarInstance(8, threshold=2)  # p clamped, every vertex a center
+    inst = _star(8, threshold=2)  # p clamped, every vertex a center
     rng = random.Random(5)
     present: set = set()
     for _ in range(60):
         u, v = rng.sample(range(8), 2)
         e = edge_key(u, v)
         if e in present:
-            inst.apply_update(e, -1)
+            _apply(inst, e, -1)
             present.discard(e)
         else:
-            inst.apply_update(e, +1)
+            _apply(inst, e, +1)
             present.add(e)
         assert inst.is_complete()
         assert dict(inst.contracted_graph().edges()) == {e: 1 for e in present}
@@ -95,9 +115,9 @@ def test_identity_regime_matches_input():
 def _k4_with_known_reps() -> StarInstance:
     # find a seed that lands rep(2)=0 and rep(3)=1 after inserting K_4
     for seed in range(500):
-        inst = StarInstance(4, threshold=4, seed=seed, centers=frozenset({0, 1}))
+        inst = _star(4, threshold=4, seed=seed, centers=frozenset({0, 1}))
         for e in K4_EDGES:
-            inst.apply_update(e, +1)
+            _apply(inst, e, +1)
         if inst.representative(2) == 0 and inst.representative(3) == 1:
             return inst
     raise AssertionError("no seed produced the scripted representative pair")
@@ -112,7 +132,7 @@ def test_k4_preimage_of_center_edge():
 
 def test_k4_forced_representative_flip():
     inst = _k4_with_known_reps()
-    inst.apply_update((0, 2), -1)  # drops 0 from N(2) ∩ R, so rep(2) -> 1
+    _apply(inst, (0, 2), -1)  # drops 0 from N(2) ∩ R, so rep(2) -> 1
     assert inst.representative(2) == 1
     assert inst.contracted_graph() == _recontract(inst)
     _scan_consistency(inst)
@@ -121,7 +141,7 @@ def test_k4_forced_representative_flip():
 
 
 def test_empty_graph_is_complete():
-    assert StarInstance(6, threshold=6, centers=frozenset({0})).is_complete()
+    assert _star(6, threshold=6, centers=frozenset({0})).is_complete()
 
 
 def test_sum_of_weights_counts_mapped_edges():
@@ -143,7 +163,7 @@ def _drive(inst: StarInstance, seed: int, n: int, steps: int,
     for _ in range(steps):
         if present and rng.random() < 0.4:
             e = rng.choice(sorted(present))
-            inst.apply_update(e, -1)
+            _apply(inst, e, -1)
             present.discard(e)
         else:
             while True:
@@ -151,7 +171,7 @@ def _drive(inst: StarInstance, seed: int, n: int, steps: int,
                 if u != v and edge_key(u, v) not in present:
                     break
             e = edge_key(u, v)
-            inst.apply_update(e, +1)
+            _apply(inst, e, +1)
             present.add(e)
         if check is not None:
             check(inst)
@@ -159,7 +179,7 @@ def _drive(inst: StarInstance, seed: int, n: int, steps: int,
 
 @pytest.mark.parametrize("seed", range(6))
 def test_eager_matches_recontraction_everywhere(seed):
-    inst = StarInstance(12, threshold=8, center_coeff=2.0, seed=seed)
+    inst = _star(12, threshold=8, center_coeff=2.0, seed=seed)
 
     def check(i):
         assert i.contracted_graph() == _recontract(i)
@@ -170,7 +190,7 @@ def test_eager_matches_recontraction_everywhere(seed):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_lazy_settles_to_recontraction(seed):
-    inst = StarInstance(12, threshold=8, mode="lazy", center_coeff=2.0, seed=seed)
+    inst = _star(12, threshold=8, mode="lazy", center_coeff=2.0, seed=seed)
 
     def check(i):
         _scan_consistency(i)
@@ -184,7 +204,7 @@ def test_lazy_tiny_budget_still_coherent(monkeypatch):
     # starve the queue so relabels span many updates, then drain fully;
     # the budget is 1 edge move here, so each update may move its own edge
     # plus at most one queued one
-    inst = StarInstance(
+    inst = _star(
         16, threshold=12, mode="lazy", center_coeff=1.0, seed=3,
         budget_coeff=1e-4,
     )
@@ -208,16 +228,16 @@ def test_lazy_tiny_budget_still_coherent(monkeypatch):
     _drive(inst, 91, 16, 300, check)
     assert saw_pending, "budget never throttled the queue"
     while inst.has_pending():
-        inst.apply_update((0, 1), +1)
+        _apply(inst, (0, 1), +1)
         check(inst)
-        inst.apply_update((0, 1), -1)
+        _apply(inst, (0, 1), -1)
         check(inst)
     assert inst.contracted_graph() == _recontract(inst)
 
 
 def test_lazy_default_budget_drains_each_step():
     # at this scale the default budget exceeds any queue the stream builds
-    inst = StarInstance(16, threshold=12, mode="lazy", center_coeff=1.0, seed=7)
+    inst = _star(16, threshold=12, mode="lazy", center_coeff=1.0, seed=7)
     occupied = 0
     steps = 250
 
@@ -230,9 +250,9 @@ def test_lazy_default_budget_drains_each_step():
 
 
 def test_budget_formula():
-    inst = StarInstance(16, threshold=2, mode="lazy")
+    inst = _star(16, threshold=2, mode="lazy")
     for e in [(0, 1), (1, 2), (0, 2)]:
-        inst.apply_update(e, +1)
+        _apply(inst, e, +1)
     # delta = 1 (vertex 3 isolated -> max(delta,1)); 16 * 4^4 = 4096
     assert inst.relabel_budget() == 4096
 
@@ -242,25 +262,25 @@ def test_completeness_under_sufficient_degree():
     hits = 0
     runs = 200
     for seed in range(runs):
-        inst = StarInstance(16, threshold=2, seed=seed)
+        inst = _star(16, threshold=2, seed=seed)
         rng = random.Random(10_000 + seed)
         present = set()
         for u, v in combinations(range(16), 2):
             if rng.random() < 0.5:
                 e = (u, v)
-                inst.apply_update(e, +1)
+                _apply(inst, e, +1)
                 present.add(e)
         for _ in range(60):
             if present and rng.random() < 0.5:
                 e = rng.choice(sorted(present))
                 if min(inst.graph.degree(e[0]), inst.graph.degree(e[1])) > 2:
-                    inst.apply_update(e, -1)
+                    _apply(inst, e, -1)
                     present.discard(e)
             else:
                 u, v = rng.sample(range(16), 2)
                 e = edge_key(u, v)
                 if e not in present:
-                    inst.apply_update(e, +1)
+                    _apply(inst, e, +1)
                     present.add(e)
         hits += 1 if inst.is_complete() else 0
     assert hits / runs >= 0.99
@@ -270,11 +290,11 @@ def test_complete_contraction_dominates_cut_value():
     rng = random.Random(606)
     checked = 0
     for seed in range(40):
-        inst = StarInstance(9, threshold=6, center_coeff=1.5, seed=seed)
+        inst = _star(9, threshold=6, center_coeff=1.5, seed=seed)
         present = set()
         for u, v in combinations(range(9), 2):
             if rng.random() < 0.6:
-                inst.apply_update((u, v), +1)
+                _apply(inst, (u, v), +1)
                 present.add((u, v))
         if not inst.is_complete() or len(present) < 8:
             continue
@@ -296,7 +316,7 @@ def test_representative_change_rate_bounded():
     touches = 0
     changes = 0
     for seed in range(30):
-        inst = StarInstance(n, threshold=tau, center_coeff=coeff, seed=seed)
+        inst = _star(n, threshold=tau, center_coeff=coeff, seed=seed)
         rng = random.Random(seed + 999)
         present: set = set()
         for _ in range(400):
@@ -314,7 +334,7 @@ def test_representative_change_rate_bounded():
                 present.add(e)
             non_centers = [x for x in e if x not in inst.centers]
             before = {x: inst.representative(x) for x in non_centers}
-            inst.apply_update(e, sign)
+            _apply(inst, e, sign)
             for x in non_centers:
                 other = e[0] if x == e[1] else e[1]
                 if other in inst.centers:
@@ -327,9 +347,9 @@ def test_representative_change_rate_bounded():
 
 def test_rejects_bad_arguments():
     with pytest.raises(ValueError):
-        StarInstance(4, threshold=0)
+        _star(4, threshold=0)
     with pytest.raises(ValueError):
-        StarInstance(4, threshold=1, mode="sideways")
-    inst = StarInstance(4, threshold=1)
+        _star(4, threshold=1, mode="sideways")
+    inst = _star(4, threshold=1)
     with pytest.raises(ValueError):
         inst.apply_update((0, 1), 2)

@@ -12,8 +12,11 @@ import dyncut.engine as engine_module
 from dyncut import (
     MODE_DIRECT,
     MODE_PACKED,
+    DuplicateEdgeError,
+    DynamicGraph,
     Engine,
     EngineConfig,
+    MissingEdgeError,
     WeightedGraph,
     brute_force_mincut,
     edge_key,
@@ -287,8 +290,10 @@ def test_identity_views_are_shared(monkeypatch, mode):
 @pytest.mark.parametrize("mode", MODES)
 def test_contracting_levels_keep_their_copies(monkeypatch, mode):
     # center probability min(1, 2 * log2(64) / 2^i): levels 0..3 are the
-    # identity, levels 4..6 contract and keep one instance per copy
+    # identity, levels 4..6 contract and keep one instance per copy; every
+    # instance reads the engine's graph, so an insert changes one graph
     updates = _count_calls(monkeypatch, StarInstance, "apply_update")
+    graph_inserts = _count_calls(monkeypatch, DynamicGraph, "insert_edge")
     copies = 3
     eng = Engine(64, _cfg(mode, copies=copies, center_coeff=2.0))
     contracting = [4, 5, 6]
@@ -297,8 +302,44 @@ def test_contracting_levels_keep_their_copies(monkeypatch, mode):
         assert len(distinct) == (copies if i in contracting else 1)
         if mode == MODE_PACKED:
             assert len({id(row[i]) for row in eng._packings}) == len(distinct)
+    assert all(inst.graph is eng.graph for row in eng._instances for inst in row)
     eng.insert((0, 1))
     assert updates[0] == 1 + copies * len(contracting)
+    assert graph_inserts[0] == 1
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_rejected_updates_leave_engine_unchanged(mode):
+    # the engine's graph is the only check in front of every instance: a
+    # rejected update must reach none of them; minimum degree 17 puts the
+    # query on contracting level 4
+    n = 64
+    eng = Engine(n, _cfg(mode, copies=3, center_coeff=2.0))
+    _fill(eng, [(v, (v + k) % n) for v in range(n) for k in range(1, 10)])
+    eng.delete((0, 1))
+    views = {id(inst): inst for row in eng._instances for inst in row}
+
+    def snapshot():
+        shape = [
+            (inst.contracted_graph().copy(), inst.is_complete(),
+             inst.queue_length())
+            for inst in views.values()
+        ]
+        return shape, sorted(eng.graph.edges()), eng.stats.updates
+
+    before = snapshot()
+    value = eng.query_value()
+    assert len(views) > 1 + 3  # contracting levels are in play
+    with pytest.raises(DuplicateEdgeError):
+        eng.insert((0, 2))
+    with pytest.raises(MissingEdgeError):
+        eng.delete((0, 1))
+    with pytest.raises(ValueError):
+        eng.insert((0, n))
+    with pytest.raises(ValueError):
+        eng.update((0, 1), 0)
+    assert snapshot() == before
+    assert eng.query_value() == value
 
 
 def test_drawn_identity_shares_a_mixed_level():
