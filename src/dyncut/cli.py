@@ -130,6 +130,29 @@ def _oracle_for(name: str, n: int):
     return stoer_wagner
 
 
+def _witness_problem(shadow: WeightedGraph, witness) -> str | None:
+    """Why removing the witness edges fails to cut the shadow graph, if it does."""
+    for e in sorted(witness):
+        if shadow.weight(e) == 0:
+            return f"witness edge {e[0]}-{e[1]} not in graph"
+    adj: dict[int, list[int]] = {v: [] for v in shadow.vertices}
+    for e, _ in shadow.edges():
+        if e not in witness:
+            adj[e[0]].append(e[1])
+            adj[e[1]].append(e[0])
+    root = min(adj)
+    seen = {root}
+    stack = [root]
+    while stack:
+        for y in adj[stack.pop()]:
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    if len(seen) == len(adj):
+        return "witness does not disconnect the graph"
+    return None
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     stream = _read_stream(args.stream)
     oracle = _oracle_for(args.oracle, stream.n)
@@ -158,6 +181,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 count_ok = len(cut.cut_edges) == cut.value
                 ok = cut.value == expected and count_ok
                 detail = f"value {cut.value} edges {len(cut.cut_edges)}"
+                if ok:
+                    problem = _witness_problem(shadow, cut.cut_edges)
+                    if problem:
+                        ok = False
+                        detail += f", {problem}"
             if not ok:
                 failures += 1
                 print(

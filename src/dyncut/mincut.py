@@ -1,4 +1,5 @@
-"""Static global minimum cut: Stoer-Wagner and an exhaustive oracle."""
+"""Static global minimum cut: bound-driven maximum-adjacency contraction
+(behind the historical name ``stoer_wagner``) and an exhaustive oracle."""
 
 from __future__ import annotations
 
@@ -17,14 +18,10 @@ class CutResult:
     cut_edges: frozenset[EdgeKey]
 
 
-def _components(g: WeightedGraph) -> list[set[int]]:
-    adj: dict[int, set[int]] = {v: set() for v in g.vertices}
-    for (u, v), _ in g.edges():
-        adj[u].add(v)
-        adj[v].add(u)
+def _components(adj: dict[int, dict[int, int]]) -> list[set[int]]:
     seen: set[int] = set()
     comps = []
-    for root in sorted(g.vertices):
+    for root in sorted(adj):
         if root in seen:
             continue
         comp = {root}
@@ -47,60 +44,100 @@ def _crossing_edges(g: WeightedGraph, side: frozenset[int]) -> frozenset[EdgeKey
 def stoer_wagner(g: WeightedGraph) -> CutResult:
     """Exact global minimum cut of a weighted graph.
 
+    Bound-driven maximum-adjacency contraction (Nagamochi, Ono and Ibaraki,
+    1994); Stoer and Wagner's algorithm is the special case that contracts
+    only the last two vertices of each phase. An upper bound on the cut
+    starts at the smallest weighted degree. Each phase runs one
+    maximum-adjacency ordering from the smallest vertex id, ties broken by
+    vertex id. It lowers the bound to every proper prefix cut it passes,
+    and marks each scanned edge (u, x) whose endpoint x has by then
+    gathered an attachment to the prefix of at least the bound. That
+    attachment is a lower bound on the local connectivity of u and x
+    (Nagamochi and Ibaraki, 1992), so no cut below the bound separates
+    them, and contracting every marked edge keeps each such cut. The last
+    vertex of a phase is attached with its whole degree, which is at least
+    the bound, so every phase contracts at least one edge. Merged vertices
+    offer their degree as a cut, and the phases stop at one vertex. So the
+    bound ends at the minimum cut value, and its side is the preimage of
+    the prefix or merged vertex that set it.
+
     Disconnected inputs report value 0 with one side a union of components;
-    fewer than two vertices is an error. Deterministic for a given input.
+    fewer than two vertices is an error. Deterministic for a given input:
+    the edge insertion order does not change the result.
     """
     if len(g.vertices) < 2:
         raise ValueError("minimum cut needs at least two vertices")
-    comps = _components(g)
+    adj: dict[int, dict[int, int]] = {v: {} for v in g.vertices}
+    for (u, v), w in g.edges():
+        adj[u][v] = w
+        adj[v][u] = w
+    comps = _components(adj)
     if len(comps) > 1:
         # all but the component with the largest minimum vertex
         side = frozenset().union(*comps[:-1])
         return CutResult(0, side, frozenset())
 
-    adj: dict[int, dict[int, int]] = {v: {} for v in g.vertices}
-    for (u, v), w in g.edges():
-        adj[u][v] = w
-        adj[v][u] = w
     merged: dict[int, list[int]] = {v: [v] for v in g.vertices}
+    degree = {v: sum(nbrs.values()) for v, nbrs in adj.items()}
 
-    best_value: int | None = None
-    best_side: list[int] = []
+    # the upper bound and the side that attains it
+    best_value, seed = min((d, v) for v, d in degree.items())
+    best_side = [seed]
     while len(adj) > 1:
-        # maximum-adjacency sweep from a deterministic start vertex
+        # maximum-adjacency phase from a deterministic start vertex
         start = min(adj)
-        in_a = {start}
-        weight_to_a = dict(adj[start])
-        heap = [(-w, u) for u, w in weight_to_a.items()]
-        heapq.heapify(heap)
-        order = [start]
-        last_weight = 0
-        while len(in_a) < len(adj):
+        attach = {start: 0}
+        in_a: set[int] = set()
+        heap = [(0, start)]
+        prefix: list[int] = []
+        prefix_cut = 0
+        marked: list[tuple[int, int]] = []
+        while heap:
             w, u = heapq.heappop(heap)
-            if u in in_a or weight_to_a.get(u) != -w:
+            if u in in_a or attach[u] != -w:
                 continue
             in_a.add(u)
-            order.append(u)
-            last_weight = -w
+            prefix.extend(merged[u])
+            # cut(A + u) = cut(A) + deg(u) - 2 * attach(u)
+            prefix_cut += degree[u] + 2 * w
+            if prefix_cut < best_value and len(in_a) < len(adj):
+                best_value = prefix_cut
+                best_side = list(prefix)
             for x, wx in adj[u].items():
                 if x not in in_a:
-                    weight_to_a[x] = weight_to_a.get(x, 0) + wx
-                    heapq.heappush(heap, (-weight_to_a[x], x))
-        t = order[-1]
-        s = order[-2]
-        if best_value is None or last_weight < best_value:
-            best_value = last_weight
-            best_side = list(merged[t])
-        # merge t into s
-        for x, wx in adj.pop(t).items():
-            del adj[x][t]
-            if x == s:
-                continue
-            adj[s][x] = adj[s].get(x, 0) + wx
-            adj[x][s] = adj[s][x]
-        merged[s].extend(merged.pop(t))
+                    rx = attach.get(x, 0) + wx
+                    attach[x] = rx
+                    heapq.heappush(heap, (-rx, x))
+                    if rx >= best_value:
+                        marked.append((u, x))
 
-    assert best_value is not None
+        # contract the marked edges, always into the smaller id
+        parent: dict[int, int] = {}
+        for a, b in marked:
+            while a in parent:
+                a = parent[a]
+            while b in parent:
+                b = parent[b]
+            if a == b:
+                continue
+            keep, drop = (a, b) if a < b else (b, a)
+            parent[drop] = keep
+            nbrs = adj.pop(drop)
+            degree[keep] += degree.pop(drop) - 2 * nbrs[keep]
+            for y, wy in nbrs.items():
+                del adj[y][drop]
+                if y == keep:
+                    continue
+                adj[keep][y] = adj[keep].get(y, 0) + wy
+                adj[y][keep] = adj[keep][y]
+            merged[keep].extend(merged.pop(drop))
+        if len(adj) > 1:
+            # each merged vertex is a cut whose side is its preimage
+            for v in sorted(adj.keys() & set(parent.values())):
+                if degree[v] < best_value:
+                    best_value = degree[v]
+                    best_side = list(merged[v])
+
     side = frozenset(best_side)
     other = frozenset(g.vertices) - side
     # the bipartition is symmetric; report the smaller side, ties by order
@@ -108,7 +145,7 @@ def stoer_wagner(g: WeightedGraph) -> CutResult:
         side = other
     cut_edges = _crossing_edges(g, side)
     value = sum(g.weight(e) for e in cut_edges)
-    assert value == best_value, "phase weight disagrees with reconstructed cut"
+    assert value == best_value, "upper bound disagrees with reconstructed cut"
     return CutResult(value, side, cut_edges)
 
 

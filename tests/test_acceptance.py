@@ -125,7 +125,9 @@ def _suite(key: str):
 
 def test_criterion_01_oracle_agreement_packed():
     # oracle is the deterministic static algorithm: the enumeration oracle
-    # is capped at 20 vertices and criterion 10 pins their equivalence
+    # is capped at 20 vertices and criterion 10 pins their equivalence;
+    # test_mincut.py::test_matches_max_flow_oracle_at_engine_sizes checks
+    # the static algorithm against max flow at 20 to 64 vertices
     pairs, elapsed = _suite("packed")
     agree = sum(1 for got, want in pairs if got == want)
     ok = agree == len(pairs) and elapsed < SUITE_BUDGET_S

@@ -6,6 +6,7 @@ from collections import deque
 
 import pytest
 
+from dyncut import CutResult, Engine
 from dyncut.cli import main
 
 
@@ -132,6 +133,34 @@ def test_verify_cut_queries(tmp_path, capsys):
     code, out, _ = _run(capsys, "verify", str(path), "--copies", "6")
     assert code == 0
     assert "0 mismatches" in out
+
+
+@pytest.mark.parametrize(
+    "witness",
+    [
+        {(0, 1), (0, 2), (1, 2)},  # real edges whose removal leaves it connected
+        {(0, 1), (0, 2), (0, 4)},  # vertex 0's star with one edge the graph lacks
+    ],
+    ids=["connected-rest", "absent-edge"],
+)
+def test_verify_rejects_witness_that_does_not_cut(tmp_path, capsys, monkeypatch,
+                                                   witness):
+    # K5 minus the edge 0-4: minimum cut 3, so a wrong witness of the right
+    # size passes the value and edge-count checks
+    lines = ["n 5"]
+    lines += [f"+ {u} {v}" for u in range(4) for v in range(u + 1, 4)]
+    lines += ["+ 1 4", "+ 2 4", "+ 3 4", "?e"]
+    path = tmp_path / "k4.txt"
+    path.write_text("\n".join(lines) + "\n")
+
+    def wrong_cut(self):
+        return CutResult(3, frozenset({0}), frozenset(witness))
+
+    monkeypatch.setattr(Engine, "query_cut", wrong_cut)
+    code, out, err = _run(capsys, "verify", str(path), "--copies", "2")
+    assert code == 1
+    assert "checked 1 queries, 1 mismatches" in out
+    assert "MISMATCH at query 1: expected 3" in err
 
 
 def test_bench_emits_table(capsys):
