@@ -55,11 +55,12 @@ class Engine:
     V is the identity contraction: it has no samplers, so every such
     instance holds the same quotient (the graph itself) under the same
     updates, and one shared identity instance fills all of those grid
-    cells. In packed mode each instance feeds its quotient weight deltas
-    into a forest packing of depth 2^(i+1), one packing per level for the
-    shared identity instance, and queries run a static cut on the
-    packing's union graph; in direct mode instances relabel lazily and
-    queries run the static cut on the quotient graph itself. Every
+    cells. In packed mode each distinct instance feeds its quotient weight
+    deltas into one forest packing of depth 2^(i+1) for the deepest level
+    i it fills, and a query at level j runs a static cut on the union of
+    that packing's first 2^(j+1) forests, which is the depth-2^(j+1)
+    packing of the same quotient; in direct mode instances relabel lazily
+    and queries run the static cut on the quotient graph itself. Every
     instance reads the engine's one DynamicGraph and keeps no copy of it:
     an update is applied to that graph once, which rejects duplicate,
     missing and out-of-range edges before any instance sees them, and
@@ -99,17 +100,15 @@ class Engine:
             budget_coeff=self.config.budget_coeff,
             centers=everyone,
         )
-        # Each distinct instance once, with its packing at each level it
-        # fills and the number of grid cells it fills there.
-        views: dict[StarInstance, tuple[dict[int, ForestPacking], Counter]] = {}
+        # Each distinct instance once, with the number of grid cells it
+        # fills at each level.
+        views: dict[StarInstance, Counter] = {}
         # Per level, the copies whose cell first holds a distinct instance.
         self._query_copies: list[list[int]] = [[] for _ in range(self.levels)]
-        # Grids of copies x levels whose cells alias the shared objects.
+        # Grid of copies x levels whose cells alias the shared instances.
         self._instances: list[list[StarInstance]] = []
-        self._packings: list[list[ForestPacking]] = []
         for c in range(self.copies):
             row = []
-            packs = []
             for i in range(self.levels):
                 inst = StarInstance(
                     self.graph,
@@ -121,20 +120,25 @@ class Engine:
                 )
                 if inst.centers == everyone:
                     inst = identity
-                level_packings, cells = views.setdefault(inst, ({}, Counter()))
+                cells = views.setdefault(inst, Counter())
                 if not cells[i]:
                     self._query_copies[i].append(c)
-                    if packed:
-                        level_packings[i] = ForestPacking(
-                            2 ** (i + 1), n, inst.centers
-                        )
                 cells[i] += 1
                 row.append(inst)
-                if packed:
-                    packs.append(level_packings[i])
             self._instances.append(row)
-            self._packings.append(packs)
-        self._views = [(inst, *view) for inst, view in views.items()]
+        # One packing per view, as deep as the deepest level it fills: a
+        # level i cell reads the union of its first 2^(i+1) forests.
+        packings = {
+            inst: ForestPacking(2 ** (max(cells) + 1), n, inst.centers)
+            if packed else None
+            for inst, cells in views.items()
+        }
+        # Same grid shape, each cell aliasing its view's packing (None in
+        # direct mode).
+        self._packings: list[list[ForestPacking | None]] = [
+            [packings[inst] for inst in row] for row in self._instances
+        ]
+        self._views = [(inst, packings[inst], cells) for inst, cells in views.items()]
         self.stats = EngineStats(
             complete_steps=[0] * self.levels, copies=self.copies
         )
@@ -155,9 +159,9 @@ class Engine:
             raise ValueError(f"update sign must be +1 or -1, got {sign}")
         any_queue = False
         complete_steps = self.stats.complete_steps
-        for inst, level_packings, cells in self._views:
+        for inst, packing, cells in self._views:
             deltas = inst.apply_update(key, sign)
-            for packing in level_packings.values():
+            if packing is not None:
                 for quotient_edge, d in deltas:
                     packing.apply_delta(quotient_edge, d)
             if inst.has_pending():
@@ -187,7 +191,7 @@ class Engine:
             if not inst.is_complete():
                 continue
             if self.config.mode == MODE_PACKED:
-                quotient = self._packings[c][level].union_graph()
+                quotient = self._packings[c][level].union_graph(2 ** (level + 1))
             else:
                 quotient = inst.contracted_graph()
             if len(quotient.vertices) < 2:

@@ -54,12 +54,6 @@ class DynamicForest:
     def connected(self, u: int, v: int) -> bool:
         return self._label[u] == self._label[v]
 
-    def is_live(self, handle: int) -> bool:
-        return handle in self._endpoints
-
-    def endpoints(self, handle: int) -> EdgeKey:
-        return self._endpoints[handle]
-
     def tree_handles(self) -> frozenset[int]:
         return frozenset(self._tree_ids)
 

@@ -19,6 +19,12 @@ class ForestPacking:
     present on a prefix of levels; the structure stores one forest handle
     per (edge, level) on that prefix.
 
+    A level's invariant refers only to shallower levels, so the first k
+    forests of a deeper packing are themselves a depth-k packing of the
+    same graph: under one delta sequence they hold the same edges as a
+    packing built with depth k. One deep packing therefore serves every
+    shallower depth through union_graph(k).
+
     The invariants kept after every unit change:
       * usage(e) is the set of levels whose forest holds a copy of e, with
         |usage(e)| <= min(weight(e), depth);
@@ -46,6 +52,9 @@ class ForestPacking:
         self._handles: dict[tuple[EdgeKey, int], int] = {}
         self._handle_key: dict[int, EdgeKey] = {}
         self._ids = count()
+        # prefix length k -> union of the first k forests, kept current by
+        # _settle once it has been read
+        self._unions: dict[int, WeightedGraph] = {}
 
     def weight(self, e: EdgeKey) -> int:
         return self._weight.get(edge_key(*e), 0)
@@ -59,12 +68,25 @@ class ForestPacking:
     def edges(self) -> Iterable[tuple[EdgeKey, int]]:
         return self._weight.items()
 
-    def union_graph(self) -> WeightedGraph:
-        """Graph of used copies: weight(e) = number of forests holding e."""
-        g = WeightedGraph(self.vertices)
-        for e, used in self._usage.items():
-            if used:
-                g.add_weight(e, len(used))
+    def union_graph(self, k: int | None = None) -> WeightedGraph:
+        """Union of the first k forests (all of them when k is None):
+        weight(e) = number of forests T_0..T_{k-1} holding e.
+
+        Built on the first read of each k and kept current under later
+        deltas, so repeated reads cost nothing; callers must not change it.
+        """
+        if k is None:
+            k = self.depth
+        if not 1 <= k <= self.depth:
+            raise ValueError(f"prefix length {k} outside 1..{self.depth}")
+        g = self._unions.get(k)
+        if g is None:
+            g = WeightedGraph(self.vertices)
+            for e, used in self._usage.items():
+                w = sum(1 for j in used if j < k)
+                if w:
+                    g.add_weight(e, w)
+            self._unions[k] = g
         return g
 
     def apply_delta(self, e: EdgeKey, delta: int) -> None:
@@ -116,12 +138,14 @@ class ForestPacking:
                 lvl = max(used)
                 assert present == lvl + 1
                 used.discard(lvl)
+                self._shift_unions(e, lvl, -1)
                 result = self._drop_handle(e, lvl)
                 present = lvl
                 assert result.removed
                 if result.replacement is not None:
                     other = self._handle_key[result.replacement]
                     self._usage.setdefault(other, set()).add(lvl)
+                    self._shift_unions(other, lvl, 1)
                     stack.append(other)
             target = self._target(e)
             while present > target:
@@ -133,6 +157,7 @@ class ForestPacking:
                 present += 1
                 if joined:
                     used.add(present - 1)
+                    self._shift_unions(e, present - 1, 1)
                     target = self._target(e)
             if present:
                 self._present[e] = present
@@ -141,6 +166,12 @@ class ForestPacking:
             if w == 0 and not used:
                 self._weight.pop(e, None)
                 self._usage.pop(e, None)
+
+    def _shift_unions(self, e: EdgeKey, lvl: int, delta: int) -> None:
+        # a copy of e entered (+1) or left (-1) the forest at level lvl
+        for k, g in self._unions.items():
+            if lvl < k:
+                g.add_weight(e, delta)
 
     def _add_handle(self, e: EdgeKey, lvl: int) -> bool:
         h = next(self._ids)

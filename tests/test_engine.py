@@ -102,7 +102,7 @@ def test_delete_last_edge_drops_min_degree():
 
 
 def test_identity_packing_preserves_small_cuts():
-    # level-0 packing holds 2 forests; every cut of weight <= 2 survives
+    # level 0 reads the first 2 forests; every cut of weight <= 2 survives
     n = 8
     eng = Engine(n, _cfg(MODE_PACKED, copies=2))
     rng = random.Random(12)
@@ -113,7 +113,7 @@ def test_identity_packing_preserves_small_cuts():
             eng.insert(e)
             edges.add(e)
     packing = eng._packings[0][0]
-    union = dict(packing.union_graph().edges())
+    union = dict(packing.union_graph(2).edges())
     for bits in range(1, 2 ** (n - 1)):
         side = {v for v in range(n) if bits >> v & 1}
         true_cut = sum(1 for u, v in edges if (u in side) != (v in side))
@@ -282,8 +282,10 @@ def test_identity_views_are_shared(monkeypatch, mode):
     shared = {id(inst) for row in eng._instances for inst in row}
     assert len(shared) == 1
     if mode == MODE_PACKED:
+        # one packing, deep enough for the top level, serves every cell
         packings = {id(p) for row in eng._packings for p in row}
-        assert len(packings) == eng.levels
+        assert len(packings) == 1
+        assert eng._packings[0][0].depth == 2**eng.levels
     assert eng.stats.completeness_rates() == [1.0] * eng.levels
 
 

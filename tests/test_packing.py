@@ -258,3 +258,74 @@ def test_cuts_preserved_up_to_capacity():
             assert packed_cut >= min(true_cut, k)
             if true_cut <= k:
                 assert packed_cut == true_cut
+
+
+def _random_delta(rng: random.Random, n: int, weights: dict) -> tuple:
+    u, v = rng.sample(range(n), 2)
+    e = edge_key(u, v)
+    w = weights.get(e, 0)
+    delta = rng.choice([1, 1, 2, 3, -1, -2]) if w else rng.choice([1, 2, 3])
+    delta = max(delta, -w)
+    weights[e] = w + delta
+    return e, delta
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_deep_packing_prefix_is_the_shallow_packing(seed, k):
+    # the first k forests of a depth-2k, 4k or 8k packing evolve exactly
+    # like a depth-k packing under the same weighted deltas
+    rng = random.Random(1000 * k + seed)
+    n = rng.randint(4, 9)
+    shallow = ForestPacking(k, n)
+    deep = [ForestPacking(m * k, n) for m in (2, 4, 8)]
+    weights: dict[tuple[int, int], int] = {}
+    for _ in range(250):
+        e, delta = _random_delta(rng, n, weights)
+        shallow.apply_delta(e, delta)
+        for p in deep:
+            p.apply_delta(e, delta)
+        forests = [shallow.level_forest(j) for j in range(k)]
+        union = dict(shallow.union_graph().edges())
+        for p in deep:
+            assert [p.level_forest(j) for j in range(k)] == forests
+            for f in weights:
+                below = frozenset(j for j in p.used_levels(f) if j < k)
+                assert shallow.used_levels(f) == below
+            assert dict(p.union_graph(k).edges()) == union
+    _check_invariants(shallow, n, k, weights)
+
+
+def _union_from_usage(p: ForestPacking, k: int) -> dict:
+    counts = {}
+    for e, _ in p.edges():
+        w = sum(1 for j in p.used_levels(e) if j < k)
+        if w:
+            counts[e] = w
+    return counts
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_prefix_unions_stay_current(seed):
+    # unions read before any delta are kept up to date, not rebuilt
+    rng = random.Random(seed)
+    n, depth = 8, 8
+    p = ForestPacking(depth, n)
+    prefixes = [1, 2, 3, 5, depth]
+    unions = {k: p.union_graph(k) for k in prefixes}
+    weights: dict[tuple[int, int], int] = {}
+    for _ in range(300):
+        e, delta = _random_delta(rng, n, weights)
+        p.apply_delta(e, delta)
+        for k, g in unions.items():
+            assert p.union_graph(k) is g
+            assert dict(g.edges()) == _union_from_usage(p, k)
+            assert g.vertices == set(range(n))
+        assert p.union_graph() is p.union_graph(depth)
+
+
+def test_union_graph_rejects_bad_prefix():
+    p = ForestPacking(4, 3)
+    for k in (0, 5):
+        with pytest.raises(ValueError):
+            p.union_graph(k)
