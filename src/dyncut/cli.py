@@ -7,6 +7,7 @@ import statistics
 import sys
 import time
 
+from .contraction import DEFAULT_BUDGET_COEFF, DEFAULT_CENTER_COEFF
 from .engine import MODE_DIRECT, MODE_PACKED, Engine, EngineConfig
 from .graph_core import WeightedGraph
 from .mincut import BRUTE_FORCE_LIMIT, brute_force_mincut, stoer_wagner
@@ -94,12 +95,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     print(f"# mode={config.mode}", file=sys.stderr)
     if stats.updates:
         print(f"# updates_per_s={stats.updates / elapsed:.1f}", file=sys.stderr)
-        occupancy = stats.queue_nonempty_steps / stats.updates
-        print(f"# queue_occupancy={occupancy:.4f}", file=sys.stderr)
-    rates = stats.completeness_rates()
-    if rates:
-        joined = ",".join(f"{r:.4f}" for r in rates)
-        print(f"# completeness={joined}", file=sys.stderr)
+    # the views' state at the end of the run
+    print(f"# queue_length={engine.queue_length()}", file=sys.stderr)
+    joined = ",".join(f"{r:.4f}" for r in engine.completeness())
+    print(f"# completeness={joined}", file=sys.stderr)
     print(f"# elapsed_s={elapsed:.3f}", file=sys.stderr)
     return 0
 
@@ -111,7 +110,7 @@ class UsageError(Exception):
 def _new_engine(n: int, config: EngineConfig) -> Engine:
     try:
         return Engine(n, config)
-    except ValueError as exc:  # a bad engine flag, such as --copies 0
+    except ValueError as exc:  # a bad engine flag, such as --copies 0 or --cb inf
         raise UsageError(str(exc)) from exc
 
 
@@ -239,9 +238,9 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--copies", type=int, default=None,
                         help="independent sampler copies (default: 5*log2 n)")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--cp", type=float, default=800.0,
+    parser.add_argument("--cp", type=float, default=DEFAULT_CENTER_COEFF,
                         help="center sampling coefficient")
-    parser.add_argument("--cb", type=float, default=1.0,
+    parser.add_argument("--cb", type=float, default=DEFAULT_BUDGET_COEFF,
                         help="relabel budget coefficient")
 
 

@@ -43,11 +43,14 @@ class StarInstance:
     (the stored image is authoritative, weights always aggregate the stored
     images), along with the reverse preimage index.
 
-    In eager mode a representative change renames the vertex's side on all
-    its incident edges immediately. In lazy mode the renaming is queued and
-    drained a bounded number of edge-moves per update; a queued move is
-    skipped unless the stored image still carries the old name, which makes
-    replays of superseded tasks harmless.
+    A representative change queues the renaming of the vertex's side on
+    all its incident edges, and both modes drain that one queue: eager mode
+    drains it in full within the update, lazy mode drains at most
+    relabel_budget() edge-moves per update. A queued move is skipped unless
+    the stored image still carries the old name, which makes replays of
+    superseded tasks harmless; in eager mode the queue is empty before each
+    update, so every live edge at the vertex carries its old name and no
+    move is skipped.
     """
 
     def __init__(
@@ -155,24 +158,16 @@ class StarInstance:
             before = sampler.current()
             changed = sampler.insert(center) if sign == 1 else sampler.remove(center)
             if changed:
-                after = sampler.current()
-                if self.mode == "eager":
-                    self._relabel_now(other, after, deltas)
-                else:
-                    snapshot = [edge_key(other, x) for x in self.graph.neighbors(other)]
-                    self._queue.append(RelabelTask(other, before, after, snapshot))
-        if self.mode == "lazy" and self._queue:
-            self._drain(self.relabel_budget(), deltas)
+                snapshot = [edge_key(other, x) for x in self.graph.neighbors(other)]
+                self._queue.append(
+                    RelabelTask(other, before, sampler.current(), snapshot)
+                )
+        if self._queue:
+            budget = math.inf if self.mode == "eager" else self.relabel_budget()
+            self._drain(budget, deltas)
         return [(c, d) for c, d in deltas.items() if d != 0]
 
-    def _relabel_now(self, v: int, new_rep: int | None, deltas: Counter) -> None:
-        for x in self.graph.neighbors(v):
-            f = edge_key(v, x)
-            old = self._image[f]
-            pair = (new_rep, old[1]) if f[0] == v else (old[0], new_rep)
-            self._retarget(f, pair, deltas)
-
-    def _drain(self, budget: int, deltas: Counter) -> None:
+    def _drain(self, budget: float, deltas: Counter) -> None:
         while budget > 0 and self._queue:
             task = self._queue[0]
             while task.cursor < len(task.edges) and budget > 0:

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .contraction import DEFAULT_BUDGET_COEFF, DEFAULT_CENTER_COEFF, StarInstance
 from .graph_core import DynamicGraph, EdgeKey, edge_key
@@ -35,16 +34,6 @@ class EngineConfig:
 class EngineStats:
     updates: int = 0
     queries: int = 0
-    queue_nonempty_steps: int = 0
-    complete_steps: list[int] = field(default_factory=list)
-
-    copies: int = 1
-
-    def completeness_rates(self) -> list[float]:
-        checks = self.updates * self.copies
-        if not checks:
-            return [1.0 for _ in self.complete_steps]
-        return [c / checks for c in self.complete_steps]
 
 
 class Engine:
@@ -55,19 +44,21 @@ class Engine:
     V is the identity contraction: it has no samplers, so every such
     instance holds the same quotient (the graph itself) under the same
     updates, and one shared identity instance fills all of those grid
-    cells. In packed mode each distinct instance feeds its quotient weight
-    deltas into one forest packing of depth 2^(i+1) for the deepest level
-    i it fills, and a query at level j runs a static cut on the union of
-    that packing's first 2^(j+1) forests, which is the depth-2^(j+1)
-    packing of the same quotient; in direct mode instances relabel lazily
-    and queries run the static cut on the quotient graph itself. Every
-    instance reads the engine's one DynamicGraph and keeps no copy of it:
-    an update is applied to that graph once, which rejects duplicate,
-    missing and out-of-range edges before any instance sees them, and
-    then reaches every distinct instance and packing once. A query consults
-    only the distinct instances at the threshold level just below the
-    current minimum degree, skips incomplete ones, and never answers below
-    the true cut value; the minimum degree is an always-valid fallback.
+    cells. The view table maps each distinct instance to its packing, or
+    to None in direct mode. In packed mode instances relabel eagerly and
+    each feeds its quotient weight deltas into one forest packing of depth
+    2^(i+1) for the deepest level i it fills, and a query at level j runs a
+    static cut on the union of that packing's first 2^(j+1) forests, which
+    is the depth-2^(j+1) packing of the same quotient; in direct mode
+    instances relabel lazily and queries run the static cut on the quotient
+    graph itself. Every instance reads the engine's one DynamicGraph and
+    keeps no copy of it: an update is applied to that graph once, which
+    rejects duplicate, missing and out-of-range edges before any instance
+    sees them, and then reaches every view once. A query consults only the
+    distinct instances at the threshold level just below the current
+    minimum degree, skips incomplete ones, and never answers below the true
+    cut value; the minimum degree is an always-valid fallback. Statistics
+    beyond the update and query counts are read from the views on demand.
     """
 
     def __init__(self, n: int, config: EngineConfig | None = None) -> None:
@@ -76,6 +67,10 @@ class Engine:
         self.config = config or EngineConfig()
         if self.config.mode not in (MODE_PACKED, MODE_DIRECT):
             raise ValueError(f"unknown engine mode {self.config.mode!r}")
+        for name in ("center_coeff", "budget_coeff"):
+            value = getattr(self.config, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         self.n = n
         log_n = math.log2(max(n, 2))
         self.levels = math.ceil(log_n) + 1
@@ -100,13 +95,12 @@ class Engine:
             budget_coeff=self.config.budget_coeff,
             centers=everyone,
         )
-        # Each distinct instance once, with the number of grid cells it
-        # fills at each level.
-        views: dict[StarInstance, Counter] = {}
-        # Per level, the copies whose cell first holds a distinct instance.
-        self._query_copies: list[list[int]] = [[] for _ in range(self.levels)]
-        # Grid of copies x levels whose cells alias the shared instances.
+        # Grid of copies x levels whose cells alias the shared instances;
+        # perfbench reads it to describe the views.
         self._instances: list[list[StarInstance]] = []
+        # Each distinct instance once, in first-seen order, with the deepest
+        # level it fills.
+        deepest: dict[StarInstance, int] = {}
         for c in range(self.copies):
             row = []
             for i in range(self.levels):
@@ -120,28 +114,17 @@ class Engine:
                 )
                 if inst.centers == everyone:
                     inst = identity
-                cells = views.setdefault(inst, Counter())
-                if not cells[i]:
-                    self._query_copies[i].append(c)
-                cells[i] += 1
+                deepest[inst] = max(deepest.get(inst, i), i)
                 row.append(inst)
             self._instances.append(row)
-        # One packing per view, as deep as the deepest level it fills: a
-        # level i cell reads the union of its first 2^(i+1) forests.
-        packings = {
-            inst: ForestPacking(2 ** (max(cells) + 1), n, inst.centers)
-            if packed else None
-            for inst, cells in views.items()
+        # The view table: each distinct instance with its packing (None in
+        # direct mode), as deep as the deepest level it fills, so a level i
+        # cell reads the union of its first 2^(i+1) forests.
+        self._views: dict[StarInstance, ForestPacking | None] = {
+            inst: ForestPacking(2 ** (i + 1), n, inst.centers) if packed else None
+            for inst, i in deepest.items()
         }
-        # Same grid shape, each cell aliasing its view's packing (None in
-        # direct mode).
-        self._packings: list[list[ForestPacking | None]] = [
-            [packings[inst] for inst in row] for row in self._instances
-        ]
-        self._views = [(inst, packings[inst], cells) for inst, cells in views.items()]
-        self.stats = EngineStats(
-            complete_steps=[0] * self.levels, copies=self.copies
-        )
+        self.stats = EngineStats()
 
     def insert(self, e: EdgeKey) -> None:
         self.update(e, 1)
@@ -157,21 +140,25 @@ class Engine:
             self.graph.delete_edge(key)
         else:
             raise ValueError(f"update sign must be +1 or -1, got {sign}")
-        any_queue = False
-        complete_steps = self.stats.complete_steps
-        for inst, packing, cells in self._views:
+        for inst, packing in self._views.items():
             deltas = inst.apply_update(key, sign)
             if packing is not None:
                 for quotient_edge, d in deltas:
                     packing.apply_delta(quotient_edge, d)
-            if inst.has_pending():
-                any_queue = True
-            if inst.is_complete():
-                for i, count in cells.items():
-                    complete_steps[i] += count
         self.stats.updates += 1
-        if any_queue:
-            self.stats.queue_nonempty_steps += 1
+
+    # -- on-demand stats -------------------------------------------------
+
+    def completeness(self) -> list[float]:
+        """Per level, the fraction of copies whose instance is complete now."""
+        return [
+            sum(row[i].is_complete() for row in self._instances) / self.copies
+            for i in range(self.levels)
+        ]
+
+    def queue_length(self) -> int:
+        """Edge moves still queued across the distinct instances."""
+        return sum(inst.queue_length() for inst in self._views)
 
     # -- queries ---------------------------------------------------------
 
@@ -186,12 +173,17 @@ class Engine:
         best = degree
         kind = "degree"
         payload: object = self.graph.min_degree_vertex()
-        for c in self._query_copies[level]:
-            inst = self._instances[c][level]
+        seen: set[StarInstance] = set()
+        for c, row in enumerate(self._instances):
+            inst = row[level]
+            if inst in seen:
+                continue  # an earlier copy holds this instance
+            seen.add(inst)
             if not inst.is_complete():
                 continue
-            if self.config.mode == MODE_PACKED:
-                quotient = self._packings[c][level].union_graph(2 ** (level + 1))
+            packing = self._views[inst]
+            if packing is not None:
+                quotient = packing.union_graph(2 ** (level + 1))
             else:
                 quotient = inst.contracted_graph()
             if len(quotient.vertices) < 2:

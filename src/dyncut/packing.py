@@ -47,9 +47,9 @@ class ForestPacking:
         self._levels = [DynamicForest(n) for _ in range(depth)]
         self._weight: dict[EdgeKey, int] = {}
         self._usage: dict[EdgeKey, set[int]] = {}
-        # number of shallowest levels where the edge is present
-        self._present: dict[EdgeKey, int] = {}
-        self._handles: dict[tuple[EdgeKey, int], int] = {}
+        # per edge, its forest handles on levels 0..len-1: the edge is
+        # present on that prefix, which only grows and shrinks at its end
+        self._handles: dict[EdgeKey, list[int]] = {}
         self._handle_key: dict[int, EdgeKey] = {}
         self._ids = count()
         # prefix length k -> union of the first k forests, kept current by
@@ -130,17 +130,16 @@ class ForestPacking:
             e = stack.pop()
             w = self._weight.get(e, 0)
             used = self._usage.setdefault(e, set())
-            present = self._present.get(e, 0)
+            handles = self._handles.setdefault(e, [])
             # Release over-committed forest copies, deepest first. Each
             # release may promote a replacement edge whose own copies then
             # need settling; that chain moves strictly deeper each step.
             while len(used) > w:
                 lvl = max(used)
-                assert present == lvl + 1
+                assert len(handles) == lvl + 1
                 used.discard(lvl)
                 self._shift_unions(e, lvl, -1)
-                result = self._drop_handle(e, lvl)
-                present = lvl
+                result = self._drop_handle(handles)
                 assert result.removed
                 if result.replacement is not None:
                     other = self._handle_key[result.replacement]
@@ -148,21 +147,17 @@ class ForestPacking:
                     self._shift_unions(other, lvl, 1)
                     stack.append(other)
             target = self._target(e)
-            while present > target:
-                result = self._drop_handle(e, present - 1)
+            while len(handles) > target:
+                result = self._drop_handle(handles)
                 assert not result.removed
-                present -= 1
-            while present < target:
-                joined = self._add_handle(e, present)
-                present += 1
-                if joined:
-                    used.add(present - 1)
-                    self._shift_unions(e, present - 1, 1)
+            while len(handles) < target:
+                lvl = len(handles)
+                if self._add_handle(e, handles):
+                    used.add(lvl)
+                    self._shift_unions(e, lvl, 1)
                     target = self._target(e)
-            if present:
-                self._present[e] = present
-            else:
-                self._present.pop(e, None)
+            if not handles:
+                del self._handles[e]
             if w == 0 and not used:
                 self._weight.pop(e, None)
                 self._usage.pop(e, None)
@@ -173,14 +168,16 @@ class ForestPacking:
             if lvl < k:
                 g.add_weight(e, delta)
 
-    def _add_handle(self, e: EdgeKey, lvl: int) -> bool:
+    def _add_handle(self, e: EdgeKey, handles: list[int]) -> bool:
+        # a new copy of e on the level just past its presence prefix
         h = next(self._ids)
-        self._handles[(e, lvl)] = h
+        handles.append(h)
         self._handle_key[h] = e
-        return self._levels[lvl].insert(h, *e)
+        return self._levels[len(handles) - 1].insert(h, *e)
 
-    def _drop_handle(self, e: EdgeKey, lvl: int):
-        h = self._handles.pop((e, lvl))
-        result = self._levels[lvl].delete(h)
+    def _drop_handle(self, handles: list[int]):
+        # the copy on the deepest level of the presence prefix
+        h = handles.pop()
+        result = self._levels[len(handles)].delete(h)
         del self._handle_key[h]
         return result

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import heapq
 import random
 
 
@@ -14,13 +13,18 @@ class StableSampler:
     distinct and exchangeable, an insert or delete changes the sample with
     probability exactly 1/|set| (taken after the insert, before the delete),
     and the sample is uniform at every point in time.
+
+    Insert compares the new priority with the current element's in O(1).
+    Removing the current element rescans the rest in O(|set|); that happens
+    only when the sample changes, and then the caller relabels every edge of
+    the sampling vertex, which costs at least as much.
     """
 
     def __init__(self, rng: random.Random) -> None:
         self._rng = rng
         self._priority: dict[int, int] = {}
         self._taken: set[int] = set()
-        self._heap: list[tuple[int, int]] = []
+        self._current: int | None = None
 
     def __len__(self) -> int:
         return len(self._priority)
@@ -30,12 +34,7 @@ class StableSampler:
 
     def current(self) -> int | None:
         """Minimum-priority element, or None when empty."""
-        while self._heap:
-            p, x = self._heap[0]
-            if self._priority.get(x) == p:
-                return x
-            heapq.heappop(self._heap)
-        return None
+        return self._current
 
     def insert(self, x: int) -> bool:
         """Add x; returns True iff the current sample changed."""
@@ -44,16 +43,19 @@ class StableSampler:
         p = self._rng.getrandbits(64)
         while p in self._taken:  # keep priorities distinct
             p = self._rng.getrandbits(64)
-        old = self.current()
         self._priority[x] = p
         self._taken.add(p)
-        heapq.heappush(self._heap, (p, x))
-        return old is None or p < self._priority[old]
+        if self._current is None or p < self._priority[self._current]:
+            self._current = x
+            return True
+        return False
 
     def remove(self, x: int) -> bool:
         """Remove x; returns True iff the current sample changed."""
         if x not in self._priority:
             raise KeyError(x)
-        was_current = self.current() == x
         self._taken.discard(self._priority.pop(x))
-        return was_current
+        if x != self._current:
+            return False
+        self._current = min(self._priority, key=self._priority.__getitem__, default=None)
+        return True

@@ -43,7 +43,7 @@ def test_run_cycle_value(tmp_path, capsys):
     assert code == 0
     assert out == "2\n"
     assert "# updates=5" in err
-    assert "# queue_occupancy=" in err
+    assert "# queue_length=" in err
     assert "# completeness=" in err
 
 
@@ -186,6 +186,18 @@ def test_bad_copies_exit_two(tmp_path, capsys, command):
     code, _, err = _run(capsys, *argv)
     assert code == 2
     assert err == "dyncut: copies must be positive, got -2\n"
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_non_finite_budget_exit_two(tmp_path, capsys, command):
+    # rejected before the first update instead of raising inside one
+    path = tmp_path / "c5.txt"
+    path.write_text(_cycle_stream(5))
+    code, out, err = _run(capsys, command, str(path), "--mode", "direct",
+                          "--cb", "inf")
+    assert code == 2
+    assert out == ""
+    assert err == "dyncut: budget_coeff must be finite and positive, got inf\n"
 
 
 def test_usage_error_exit_two(capsys):

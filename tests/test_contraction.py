@@ -188,6 +188,40 @@ def test_eager_matches_recontraction_everywhere(seed):
     _drive(inst, seed * 11 + 1, 12, 220, check)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_eager_equals_full_lazy_drain(seed):
+    # at n = 32 the default budget, 32 * 5^4 / delta >= 645 edge moves,
+    # exceeds any relabel, so the lazy instance drains each task within the
+    # update that queued it and must match the eager one move for move
+    n = 32
+    graph = DynamicGraph(n)
+    eager, lazy = (
+        StarInstance(graph, threshold=16, mode=mode, center_coeff=1.0, seed=seed)
+        for mode in ("eager", "lazy")
+    )
+    assert eager.centers == lazy.centers != frozenset(range(n))
+    rng = random.Random(seed + 40)
+    present: set = set()
+    relabels = 0
+    for _ in range(400):
+        u, v = rng.sample(range(n), 2)
+        e = edge_key(u, v)
+        reps = [eager.representative(x) for x in range(n)]
+        if e in present:
+            sign = -1
+            graph.delete_edge(e)
+            present.discard(e)
+        else:
+            sign = 1
+            graph.insert_edge(e)
+            present.add(e)
+        assert eager.apply_update(e, sign) == lazy.apply_update(e, sign)
+        assert eager.contracted_graph() == lazy.contracted_graph()
+        assert lazy.queue_length() == 0 and not lazy.has_pending()
+        relabels += reps != [eager.representative(x) for x in range(n)]
+    assert relabels >= 10
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_lazy_settles_to_recontraction(seed):
     inst = _star(12, threshold=8, mode="lazy", center_coeff=2.0, seed=seed)

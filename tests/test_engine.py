@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from collections import deque
 from itertools import combinations
@@ -90,7 +91,7 @@ def test_cycle_insertion_keeps_instances_complete():
     assert eng.graph.min_degree() == 2
     for row in eng._instances:
         assert all(inst.is_complete() for inst in row)
-    assert all(rate == 1.0 for rate in eng.stats.completeness_rates())
+    assert all(rate == 1.0 for rate in eng.completeness())
 
 
 def test_delete_last_edge_drops_min_degree():
@@ -112,7 +113,7 @@ def test_identity_packing_preserves_small_cuts():
             e = (u, v)
             eng.insert(e)
             edges.add(e)
-    packing = eng._packings[0][0]
+    packing = eng._views[eng._instances[0][0]]
     union = dict(packing.union_graph(2).edges())
     for bits in range(1, 2 ** (n - 1)):
         side = {v for v in range(n) if bits >> v & 1}
@@ -230,6 +231,12 @@ def test_rejects_bad_config():
     for copies in (0, -2):
         with pytest.raises(ValueError):
             Engine(8, EngineConfig(copies=copies))
+    # a non-positive coefficient draws no centers or never drains the
+    # relabel queue; a non-finite one fails inside every lazy update
+    for name in ("center_coeff", "budget_coeff"):
+        for bad in (0, -1, math.inf, math.nan):
+            with pytest.raises(ValueError, match=name):
+                Engine(8, EngineConfig(**{name: bad}))
 
 
 def test_update_validates_sign():
@@ -245,7 +252,38 @@ def test_stats_counters():
     eng.query_value()
     assert eng.stats.updates == 6
     assert eng.stats.queries == 2
-    assert len(eng.stats.completeness_rates()) == eng.levels
+    assert len(eng.completeness()) == eng.levels
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_on_demand_stats(mode):
+    # center probability min(1, log2(64) / 2^i): levels 0..2 are the
+    # identity, levels 3..6 contract; a budget of at most 9 edge moves per
+    # update keeps direct mode's relabel queues from draining, while packed
+    # mode relabels eagerly and never keeps a queue
+    n = 64
+    eng = Engine(n, _cfg(mode, copies=3, center_coeff=1.0, budget_coeff=1e-4))
+    rng = random.Random(8)
+    present = set()
+    queued = incomplete = 0
+    for _ in range(600):
+        u, v = rng.sample(range(n), 2)
+        e = edge_key(u, v)
+        if e in present:
+            eng.delete(e)
+            present.discard(e)
+        else:
+            eng.insert(e)
+            present.add(e)
+        rates = eng.completeness()
+        assert len(rates) == eng.levels
+        assert rates[:3] == [1.0] * 3
+        if mode == MODE_PACKED:
+            assert eng.queue_length() == 0
+        queued += eng.queue_length() > 0
+        incomplete += min(rates[3:]) < 1.0
+    if mode == MODE_DIRECT:
+        assert queued and incomplete
 
 
 def _two_k4_bridge():
@@ -283,10 +321,10 @@ def test_identity_views_are_shared(monkeypatch, mode):
     assert len(shared) == 1
     if mode == MODE_PACKED:
         # one packing, deep enough for the top level, serves every cell
-        packings = {id(p) for row in eng._packings for p in row}
+        packings = {id(eng._views[inst]) for row in eng._instances for inst in row}
         assert len(packings) == 1
-        assert eng._packings[0][0].depth == 2**eng.levels
-    assert eng.stats.completeness_rates() == [1.0] * eng.levels
+        assert eng._views[eng._instances[0][0]].depth == 2**eng.levels
+    assert eng.completeness() == [1.0] * eng.levels
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -303,7 +341,7 @@ def test_contracting_levels_keep_their_copies(monkeypatch, mode):
         distinct = {id(row[i]) for row in eng._instances}
         assert len(distinct) == (copies if i in contracting else 1)
         if mode == MODE_PACKED:
-            assert len({id(row[i]) for row in eng._packings}) == len(distinct)
+            assert len({id(eng._views[row[i]]) for row in eng._instances}) == len(distinct)
     assert all(inst.graph is eng.graph for row in eng._instances for inst in row)
     eng.insert((0, 1))
     assert updates[0] == 1 + copies * len(contracting)

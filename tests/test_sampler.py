@@ -83,6 +83,34 @@ def test_current_is_priority_argmin():
         assert len(set(pri.values())) == len(live)
 
 
+def test_matches_seeded_shadow():
+    # the shadow draws priorities with the same getrandbits(64) calls from
+    # an identically seeded generator, so every answer, and every draw the
+    # contraction's seeded layout depends on, must agree
+    ops = random.Random(9)
+    s = StableSampler(random.Random(10))
+    draws = random.Random(10)
+    shadow: dict[int, int] = {}
+
+    def shadow_min():
+        return min(shadow, key=shadow.__getitem__) if shadow else None
+
+    for _ in range(5000):
+        x = ops.randrange(64)
+        if x in shadow:
+            was_min = shadow_min() == x
+            del shadow[x]
+            assert s.remove(x) is was_min
+        else:
+            p = draws.getrandbits(64)
+            while p in shadow.values():
+                p = draws.getrandbits(64)
+            shadow[x] = p
+            assert s.insert(x) is (shadow_min() == x)
+        assert s.current() == shadow_min()
+        assert len(s) == len(shadow)
+
+
 def test_insert_change_probability_quarter():
     # |S| = 3 before each insert; exact P[changed] is 1/4
     rng = random.Random(1001)
