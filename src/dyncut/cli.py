@@ -50,7 +50,24 @@ def _format_cut(value: int, edges) -> str:
     return " ".join([str(value), *tokens]) if tokens else str(value)
 
 
+def _check_stream_flags(args: argparse.Namespace, sizes: list[int],
+                        **least: int) -> None:
+    """Reject generator flags that would fail or quietly yield another stream."""
+    for name, bound in {"steps": 0, "query_every": 0, **least}.items():
+        value = getattr(args, name)
+        if value < bound:
+            flag = name.replace("_", "-")
+            raise UsageError(f"--{flag} must be at least {bound}, got {value}")
+    for n in sizes:
+        if n < 2:
+            raise UsageError(f"streams need at least two vertices, got {n}")
+        # n - 1 is the complete graph, which every later step must break
+        if args.degree is not None and not 1 <= args.degree <= n - 2:
+            raise UsageError(f"--degree must be in 1..{n - 2}, got {args.degree}")
+
+
 def cmd_gen(args: argparse.Namespace) -> int:
+    _check_stream_flags(args, [args.n])
     stream = generate_stream(
         args.model,
         args.n,
@@ -197,6 +214,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     sizes = [int(tok) for tok in args.sizes.split(",")]
+    # a bench without updates has no update time to report
+    _check_stream_flags(args, sizes, steps=1, reps=1)
     print("n mode mean_update_us median_update_us mean_query_ms")
     for n in sizes:
         update_times: list[float] = []

@@ -41,7 +41,7 @@ class StarInstance:
     the resulting weighted quotient graph incrementally: each live edge
     stores the pair of endpoint representatives under which it is counted
     (the stored image is authoritative, weights always aggregate the stored
-    images), along with the reverse preimage index.
+    images); a quotient edge's preimage is read from the images on demand.
 
     A representative change queues the renaming of the vertex's side on
     all its incident edges, and both modes drain that one queue: eager mode
@@ -87,7 +87,6 @@ class StarInstance:
         # canonical endpoint order; a None side means the endpoint has no
         # representative and the edge is unmapped.
         self._image: dict[EdgeKey, tuple[int | None, int | None]] = {}
-        self._preimage: dict[EdgeKey, set[EdgeKey]] = {}
         self._contracted = WeightedGraph(self.centers)
         self._unmapped = 0
         self._queue: deque[RelabelTask] = deque()
@@ -113,7 +112,9 @@ class StarInstance:
         return self._contracted
 
     def preimage_of(self, c: EdgeKey) -> frozenset[EdgeKey]:
-        return frozenset(self._preimage.get(edge_key(*c), ()))
+        """Live edges whose stored image is the quotient edge c."""
+        c = edge_key(*c)
+        return frozenset(f for f, pair in self._image.items() if pair in (c, c[::-1]))
 
     def is_complete(self) -> bool:
         """True when every live edge is mapped and no renames are pending."""
@@ -189,7 +190,7 @@ class StarInstance:
 
     def _retarget(self, f: EdgeKey, pair, deltas: Counter) -> None:
         """Point edge f at a new representative pair, keeping the quotient
-        weights, the preimage index and the unmapped counter aligned."""
+        weights and the unmapped counter aligned."""
         old = self._image.get(f)
         if old is not None:
             if old[0] is None or old[1] is None:
@@ -198,10 +199,6 @@ class StarInstance:
                 c = edge_key(old[0], old[1])
                 self._contracted.add_weight(c, -1)
                 deltas[c] -= 1
-                bucket = self._preimage[c]
-                bucket.discard(f)
-                if not bucket:
-                    del self._preimage[c]
         if pair is _CLEAR:
             if old is not None:
                 del self._image[f]
@@ -213,4 +210,3 @@ class StarInstance:
             c = edge_key(pair[0], pair[1])
             self._contracted.add_weight(c, 1)
             deltas[c] += 1
-            self._preimage.setdefault(c, set()).add(f)

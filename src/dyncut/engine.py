@@ -165,20 +165,16 @@ class Engine:
     def _level_for_degree(self, degree: int) -> int:
         return min(degree.bit_length() - 1, self.levels - 1)
 
-    def _evaluate(self) -> tuple[int, str, object]:
+    def _evaluate(self) -> tuple[int, StarInstance | None, frozenset[int]]:
+        """The answer with the instance and quotient side it was read from;
+        the minimum degree answer has no instance and its vertex as side."""
         degree = self.graph.min_degree()
+        best, source, side = degree, None, frozenset([self.graph.min_degree_vertex()])
         if degree == 0:
-            return 0, "degree", self.graph.min_degree_vertex()
+            return best, source, side
         level = self._level_for_degree(degree)
-        best = degree
-        kind = "degree"
-        payload: object = self.graph.min_degree_vertex()
-        seen: set[StarInstance] = set()
-        for c, row in enumerate(self._instances):
-            inst = row[level]
-            if inst in seen:
-                continue  # an earlier copy holds this instance
-            seen.add(inst)
+        # each distinct instance once, in the order the copies hold them
+        for inst in dict.fromkeys(row[level] for row in self._instances):
             if not inst.is_complete():
                 continue
             packing = self._views[inst]
@@ -190,36 +186,27 @@ class Engine:
                 continue  # everything merged into one side, no cut to read
             cut = stoer_wagner(quotient)
             if cut.value < best:
-                best = cut.value
-                kind = "quotient"
-                payload = (c, level, cut.side)
-        return best, kind, payload
+                best, source, side = cut.value, inst, cut.side
+        return best, source, side
 
     def query_value(self) -> int:
         """Exact minimum cut value (0 when the graph is disconnected)."""
         self.stats.queries += 1
-        value, _, _ = self._evaluate()
-        return value
+        return self._evaluate()[0]
 
     def query_cut(self) -> CutResult:
         """Minimum cut value plus a witness edge set and side."""
         if not self.config.report_edges:
             raise RuntimeError("cut reporting is disabled; set report_edges")
         self.stats.queries += 1
-        value, kind, payload = self._evaluate()
-        if kind == "degree":
-            vertex = payload
-            if value == 0:
-                return CutResult(0, frozenset([vertex]), frozenset())
-            edges = frozenset(edge_key(vertex, x) for x in self.graph.neighbors(vertex))
-            return CutResult(value, frozenset([vertex]), edges)
-        c, level, side = payload
-        inst = self._instances[c][level]
-        edges: set[EdgeKey] = set()
-        for quotient_edge, _ in inst.contracted_graph().edges():
-            if (quotient_edge[0] in side) != (quotient_edge[1] in side):
-                edges |= inst.preimage_of(quotient_edge)
-        original_side = frozenset(
-            v for v in range(self.n) if inst.representative(v) in side
+        value, source, side = self._evaluate()
+        # Either answer names a side of the input graph and the witness is
+        # the input edges crossing it; a complete instance's quotient is the
+        # contraction under its current representatives.
+        if source is not None:
+            rep = source.representative
+            side = frozenset(v for v in range(self.n) if rep(v) in side)
+        edges = frozenset(
+            edge_key(v, x) for v in side for x in self.graph.neighbors(v) - side
         )
-        return CutResult(value, original_side, frozenset(edges))
+        return CutResult(value, side, edges)

@@ -14,7 +14,7 @@ class StableSampler:
     probability exactly 1/|set| (taken after the insert, before the delete),
     and the sample is uniform at every point in time.
 
-    Insert compares the new priority with the current element's in O(1).
+    Insert redraws a priority that a live element holds, in O(|set|).
     Removing the current element rescans the rest in O(|set|); that happens
     only when the sample changes, and then the caller relabels every edge of
     the sampling vertex, which costs at least as much.
@@ -23,7 +23,6 @@ class StableSampler:
     def __init__(self, rng: random.Random) -> None:
         self._rng = rng
         self._priority: dict[int, int] = {}
-        self._taken: set[int] = set()
         self._current: int | None = None
 
     def __len__(self) -> int:
@@ -41,10 +40,9 @@ class StableSampler:
         if x in self._priority:
             raise ValueError(f"element {x} already present")
         p = self._rng.getrandbits(64)
-        while p in self._taken:  # keep priorities distinct
+        while p in self._priority.values():  # keep priorities distinct
             p = self._rng.getrandbits(64)
         self._priority[x] = p
-        self._taken.add(p)
         if self._current is None or p < self._priority[self._current]:
             self._current = x
             return True
@@ -52,9 +50,7 @@ class StableSampler:
 
     def remove(self, x: int) -> bool:
         """Remove x; returns True iff the current sample changed."""
-        if x not in self._priority:
-            raise KeyError(x)
-        self._taken.discard(self._priority.pop(x))
+        del self._priority[x]
         if x != self._current:
             return False
         self._current = min(self._priority, key=self._priority.__getitem__, default=None)

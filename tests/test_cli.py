@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import deque
+from pathlib import Path
 
 import pytest
 
@@ -186,6 +187,51 @@ def test_bad_copies_exit_two(tmp_path, capsys, command):
     code, _, err = _run(capsys, *argv)
     assert code == 2
     assert err == "dyncut: copies must be positive, got -2\n"
+
+
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (["gen", "-n", "1", "--steps", "5"],
+         "streams need at least two vertices, got 1"),
+        (["gen", "-n", "8", "--steps", "-3"], "--steps must be at least 0, got -3"),
+        (["gen", "-n", "8", "--steps", "5", "--query-every", "-1"],
+         "--query-every must be at least 0, got -1"),
+        (["gen", "--model", "dense-regular", "-n", "8", "--steps", "40",
+          "--degree", "9"], "--degree must be in 1..6, got 9"),
+        (["gen", "--model", "dense-regular", "-n", "8", "--steps", "40",
+          "--degree", "7"], "--degree must be in 1..6, got 7"),
+        (["bench", "--sizes", "1"], "streams need at least two vertices, got 1"),
+        (["bench", "--sizes", "8", "--reps", "0"], "--reps must be at least 1, got 0"),
+        (["bench", "--sizes", "8", "--steps", "0"],
+         "--steps must be at least 1, got 0"),
+    ],
+    ids=["gen-n1", "gen-negative-steps", "gen-negative-query-every",
+         "gen-degree-above-n", "gen-degree-complete", "bench-n1", "bench-reps0",
+         "bench-steps0"],
+)
+def test_bad_stream_flags_exit_two(capsys, argv, message):
+    # rejected before any output, not with a traceback and exit status 1
+    code, out, err = _run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"dyncut: {message}\n"
+
+
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("mode", ["packed", "direct"])
+@pytest.mark.parametrize("cp", ["1", "800"])
+def test_run_witnesses_match_recorded_output(capsys, mode, cp):
+    # dense32.txt is `dyncut gen --model dense-regular -n 32 --degree 10
+    # --steps 600 --query-every 10 --cut-queries`; the expected stdout was
+    # recorded with the same run flags, and at --cp 1 its query level
+    # contracts
+    code, out, _ = _run(capsys, "run", str(DATA / "dense32.txt"), "--report-edges",
+                        "--copies", "4", "--seed", "3", "--cp", cp, "--mode", mode)
+    assert code == 0
+    assert out == (DATA / f"dense32_{mode}_cp{cp}.out").read_text()
 
 
 @pytest.mark.parametrize("command", ["run", "verify"])

@@ -49,8 +49,14 @@ def _scan_consistency(inst: StarInstance) -> None:
     contracted = inst.contracted_graph()
     for c, w in contracted.edges():
         assert w == len(inst.preimage_of(c)), c
-    for c in list(inst._preimage):
-        assert contracted.weight(c) == len(inst.preimage_of(c))
+    # the mapped, non-loop images are the preimages of all center pairs:
+    # distinct live edges, as many as the total quotient weight
+    mapped = [
+        f for c in combinations(sorted(inst.centers), 2) for f in inst.preimage_of(c)
+    ]
+    assert len(set(mapped)) == len(mapped)
+    assert set(mapped) <= set(inst.graph.edges())
+    assert contracted.total_weight() == len(mapped)
 
 
 def test_probability_clamps_to_one():

@@ -21,6 +21,7 @@ from dyncut import (
     WeightedGraph,
     brute_force_mincut,
     edge_key,
+    stoer_wagner,
 )
 from dyncut.contraction import StarInstance
 
@@ -391,3 +392,81 @@ def test_drawn_identity_shares_a_mixed_level():
     assert 0 < len(drawn_all) < len(cells)
     assert {id(inst) for inst in drawn_all} == {id(eng._instances[0][0])}
     assert len({id(inst) for inst in cells}) == 1 + len(cells) - len(drawn_all)
+
+
+def _bridged_circulants(rng: random.Random, steps: int):
+    """Two degree-17 circulants on 32 vertices each joined by four bridges,
+    as the edge list that builds them plus a churn of (sign, edge) updates:
+    random edges inside the halves, deleted only while both endpoints keep
+    17 edges within their half, and now and then a bridge moved. The cut
+    between the halves stays far below the minimum degree, so only a
+    quotient can answer it."""
+    half = 32
+    edges = {
+        edge_key(base + v, base + (v + k) % half)
+        for base in (0, half)
+        for v in range(half)
+        for k in (*range(1, 9), half // 2)
+    }
+    bridges = {(v, half + v) for v in range(0, half, 8)}
+    inner = [17] * (2 * half)  # edges within the vertex's half
+
+    def churn():
+        for _ in range(steps):
+            if rng.random() < 0.1:
+                e = rng.choice(sorted(bridges))
+                new = (rng.randrange(half), half + rng.randrange(half))
+                if new not in bridges:
+                    bridges.discard(e)
+                    bridges.add(new)
+                    yield -1, e
+                    yield +1, new
+                continue
+            base = rng.choice((0, half))
+            u, v = rng.sample(range(base, base + half), 2)
+            e = edge_key(u, v)
+            if e not in edges:
+                sign = +1
+            elif inner[u] > 17 and inner[v] > 17:
+                sign = -1
+            else:
+                continue
+            edges.symmetric_difference_update({e})
+            inner[u] += sign
+            inner[v] += sign
+            yield sign, e
+
+    return sorted(edges | bridges), churn()
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_contracting_level_witness_is_an_input_cut(mode):
+    # center probability 2 * log2(64) / 16 = 0.75 at level 4, where the
+    # minimum degree of 17..31 puts every query: the quotients contract,
+    # and the bridges between the halves are the minimum cut
+    n = 64
+    eng = Engine(n, _cfg(mode, copies=3, center_coeff=2.0, report_edges=True))
+    level = 4
+    assert all(len(row[level].centers) < n for row in eng._instances)
+    build, churn = _bridged_circulants(random.Random(8), 600)
+    _fill(eng, build)
+    queries = by_quotient = 0
+    for step, (sign, e) in enumerate(churn):
+        eng.update(e, sign)
+        if step % 10:
+            continue
+        degree = eng.graph.min_degree()
+        assert eng._level_for_degree(degree) == level
+        live = list(eng.graph.edges())
+        shadow = WeightedGraph(range(n))
+        for f in live:
+            shadow.add_weight(f, 1)
+        cut = eng.query_cut()
+        crossing = {f for f in live if (f[0] in cut.side) != (f[1] in cut.side)}
+        assert cut.cut_edges == crossing
+        assert len(cut.cut_edges) == cut.value
+        assert cut.value == stoer_wagner(shadow).value
+        queries += 1
+        by_quotient += cut.value < degree
+    assert queries >= 40
+    assert by_quotient > 0

@@ -111,6 +111,35 @@ def test_matches_seeded_shadow():
         assert len(s) == len(shadow)
 
 
+class _ScriptedRng:
+    """Stands in for random.Random: getrandbits returns the scripted values."""
+
+    def __init__(self, values) -> None:
+        self._values = iter(values)
+        self.draws = 0
+
+    def getrandbits(self, bits: int) -> int:
+        self.draws += 1
+        return next(self._values)
+
+
+def test_insert_redraws_a_live_priority():
+    # "c" first draws the live priorities of "a" and "b", then a fresh one
+    rng = _ScriptedRng([5, 9, 5, 9, 7, 5])
+    s = StableSampler(rng)
+    s.insert("a")
+    s.insert("b")
+    assert s.insert("c") is False
+    assert rng.draws == 5
+    assert s._priority == {"a": 5, "b": 9, "c": 7}
+    # a removed element's priority is free again: no redraw
+    s.remove("a")
+    assert s.insert("d") is True
+    assert rng.draws == 6
+    assert s._priority == {"b": 9, "c": 7, "d": 5}
+    assert s.current() == "d"
+
+
 def test_insert_change_probability_quarter():
     # |S| = 3 before each insert; exact P[changed] is 1/4
     rng = random.Random(1001)
