@@ -1,6 +1,6 @@
 """Fully dynamic global minimum cut via star contraction and forest packings."""
 
-from .contraction import RelabelTask, StarInstance
+from .contraction import StarInstance
 from .engine import MODE_DIRECT, MODE_PACKED, Engine, EngineConfig, EngineStats
 from .forest import UNTOUCHED, DeleteResult, DynamicForest
 from .graph_core import (
@@ -44,7 +44,6 @@ __all__ = [
     "MissingEdgeError",
     "MODE_DIRECT",
     "MODE_PACKED",
-    "RelabelTask",
     "StableSampler",
     "StarInstance",
     "StreamFormatError",

@@ -19,6 +19,7 @@ from .streams import (
     QUERY_VALUE,
     StreamFormatError,
     UpdateStream,
+    dense_regular_degree,
     generate_stream,
     parse_stream,
     render_stream,
@@ -61,9 +62,11 @@ def _check_stream_flags(args: argparse.Namespace, sizes: list[int],
     for n in sizes:
         if n < 2:
             raise UsageError(f"streams need at least two vertices, got {n}")
-        # n - 1 is the complete graph, which every later step must break
-        if args.degree is not None and not 1 <= args.degree <= n - 2:
-            raise UsageError(f"--degree must be in 1..{n - 2}, got {args.degree}")
+        if args.model == "dense-regular" or args.degree is not None:
+            try:
+                dense_regular_degree(n, args.degree)
+            except ValueError as exc:
+                raise UsageError(f"--{exc}") from None
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -213,7 +216,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    sizes = [int(tok) for tok in args.sizes.split(",")]
+    try:
+        sizes = [int(tok) for tok in args.sizes.split(",")]
+    except ValueError:
+        raise UsageError(f"--sizes must list integers, got {args.sizes!r}") from None
     # a bench without updates has no update time to report
     _check_stream_flags(args, sizes, steps=1, reps=1)
     print("n mode mean_update_us median_update_us mean_query_ms")

@@ -16,6 +16,12 @@ DEFAULT_BUDGET_COEFF = 1.0
 _CLEAR = object()
 
 
+def relabel_budget(n: int, min_degree: int, coeff: float = DEFAULT_BUDGET_COEFF) -> int:
+    """Edge moves one update may drain from a relabel queue: the paper's
+    O~(n / lambda) budget, ceil(coeff * n * log2(n)^4 / max(delta, 1))."""
+    return math.ceil(coeff * n * math.log2(max(n, 2)) ** 4 / max(min_degree, 1))
+
+
 @dataclass
 class RelabelTask:
     """Deferred renaming of one endpoint's side across its incident edges."""
@@ -44,39 +50,27 @@ class StarInstance:
     images); a quotient edge's preimage is read from the images on demand.
 
     A representative change queues the renaming of the vertex's side on
-    all its incident edges, and both modes drain that one queue: eager mode
-    drains it in full within the update, lazy mode drains at most
-    relabel_budget() edge-moves per update. A queued move is skipped unless
-    the stored image still carries the old name, which makes replays of
-    superseded tasks harmless; in eager mode the queue is empty before each
-    update, so every live edge at the vertex carries its old name and no
-    move is skipped.
+    all its incident edges, and each update drains at most the budget of
+    edge moves its caller hands in; math.inf drains the queue in full. A
+    queued move is skipped unless the stored image still carries the old
+    name, which makes replays of superseded tasks harmless.
     """
 
     def __init__(
         self,
         graph: DynamicGraph,
         threshold: int,
-        mode: str = "eager",
         seed: int = 0,
         center_coeff: float = DEFAULT_CENTER_COEFF,
-        budget_coeff: float = DEFAULT_BUDGET_COEFF,
         centers: frozenset[int] | None = None,
     ) -> None:
         if threshold < 1:
             raise ValueError("threshold must be positive")
-        if mode not in ("eager", "lazy"):
-            raise ValueError(f"unknown mode {mode!r}")
         n = graph.n
         self.graph = graph
-        self.n = n
-        self.threshold = threshold
-        self.mode = mode
-        self.center_coeff = center_coeff
-        self.budget_coeff = budget_coeff
         self._rng = random.Random(seed)
-        self._log_n = math.log2(max(n, 2))
-        self.center_probability = min(1.0, center_coeff * self._log_n / threshold)
+        log_n = math.log2(max(n, 2))
+        self.center_probability = min(1.0, center_coeff * log_n / threshold)
         if centers is None:
             centers = frozenset(
                 v for v in range(n) if self._rng.random() < self.center_probability
@@ -126,19 +120,16 @@ class StarInstance:
     def has_pending(self) -> bool:
         return bool(self._queue)
 
-    def relabel_budget(self) -> int:
-        degree = max(self.graph.min_degree(), 1)
-        return math.ceil(self.budget_coeff * self.n * self._log_n**4 / degree)
-
     # -- updates -------------------------------------------------------------
 
-    def apply_update(self, e: EdgeKey, sign: int) -> list[tuple[EdgeKey, int]]:
+    def apply_update(self, e: EdgeKey, sign: int,
+                     budget: float) -> list[tuple[EdgeKey, int]]:
         """Apply one edge update; returns net quotient weight deltas.
 
         sign is +1 for insertion, -1 for deletion, and the caller has
-        already applied it to the graph. The returned list pairs
-        quotient edge keys with the net weight change this update caused,
-        including any deferred renames drained from the queue.
+        already applied it to the graph. The returned list pairs quotient
+        edge keys with the net weight change this update caused, including
+        the deferred renames drained from the queue, at most budget moves.
         """
         if sign not in (1, -1):
             raise ValueError(f"update sign must be +1 or -1, got {sign}")
@@ -164,7 +155,6 @@ class StarInstance:
                     RelabelTask(other, before, sampler.current(), snapshot)
                 )
         if self._queue:
-            budget = math.inf if self.mode == "eager" else self.relabel_budget()
             self._drain(budget, deltas)
         return [(c, d) for c, d in deltas.items() if d != 0]
 

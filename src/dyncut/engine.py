@@ -6,13 +6,15 @@ import hashlib
 import math
 from dataclasses import dataclass
 
-from .contraction import DEFAULT_BUDGET_COEFF, DEFAULT_CENTER_COEFF, StarInstance
+from .contraction import DEFAULT_BUDGET_COEFF, DEFAULT_CENTER_COEFF
+from .contraction import StarInstance, relabel_budget
 from .graph_core import DynamicGraph, EdgeKey, edge_key
 from .mincut import CutResult, stoer_wagner
 from .packing import ForestPacking
 
 MODE_PACKED = "packed"
 MODE_DIRECT = "direct"
+_UNBOUNDED = math.inf  # loads faster than math.inf on every update
 
 
 def _child_seed(master: int, copy: int, level: int) -> int:
@@ -39,23 +41,24 @@ class EngineStats:
 class Engine:
     """Maintains the exact global minimum cut value under edge updates.
 
-    Each independent copy draws one contraction instance per threshold
-    2^i, i = 0..ceil(log2 n). An instance whose drawn center set is all of
-    V is the identity contraction: it has no samplers, so every such
-    instance holds the same quotient (the graph itself) under the same
-    updates, and one shared identity instance fills all of those grid
-    cells. The view table maps each distinct instance to its packing, or
-    to None in direct mode. In packed mode instances relabel eagerly and
-    each feeds its quotient weight deltas into one forest packing of depth
-    2^(i+1) for the deepest level i it fills, and a query at level j runs a
-    static cut on the union of that packing's first 2^(j+1) forests, which
-    is the depth-2^(j+1) packing of the same quotient; in direct mode
-    instances relabel lazily and queries run the static cut on the quotient
+    Each independent copy draws one contraction instance per threshold 2^i,
+    i = 0..ceil(log2 n). An instance whose drawn center set is all of V is
+    the identity contraction: it has no samplers, so every such instance
+    holds the same quotient (the graph itself) under the same updates, and
+    one shared identity instance fills all of those grid cells. The view
+    table maps each distinct instance to its packing, or to None in direct
+    mode. In packed mode each instance feeds its quotient weight deltas into
+    one forest packing of depth 2^(i+1) for the deepest level i it fills,
+    and a query at level j runs a static cut on the union of that packing's
+    first 2^(j+1) forests, which is the depth-2^(j+1) packing of the same
+    quotient; in direct mode queries run the static cut on the quotient
     graph itself. Every instance reads the engine's one DynamicGraph and
     keeps no copy of it: an update is applied to that graph once, which
     rejects duplicate, missing and out-of-range edges before any instance
-    sees them, and then reaches every view once. A query consults only the
-    distinct instances at the threshold level just below the current
+    sees them, and then reaches every view once with one relabel budget,
+    unbounded in packed mode and relabel_budget(n, delta, budget_coeff) in
+    direct mode, delta read only if a view contracts. A query consults only
+    the distinct instances at the threshold level just below the current
     minimum degree, skips incomplete ones, and never answers below the true
     cut value; the minimum degree is an always-valid fallback. Statistics
     beyond the update and query counts are read from the views on demand.
@@ -82,19 +85,9 @@ class Engine:
             self.copies = self.config.copies
         self.graph = DynamicGraph(n)
         packed = self.config.mode == MODE_PACKED
-        instance_mode = "eager" if packed else "lazy"
         everyone = frozenset(range(n))
-        # Stands in for every drawn identity instance. Its threshold is moot:
-        # with no non-centers it never queues a relabel, and its relabel
-        # budget does not read the threshold.
-        identity = StarInstance(
-            self.graph,
-            threshold=1,
-            mode=instance_mode,
-            center_coeff=self.config.center_coeff,
-            budget_coeff=self.config.budget_coeff,
-            centers=everyone,
-        )
+        # Stands in for every drawn identity instance; its threshold is moot.
+        identity = StarInstance(self.graph, threshold=1, centers=everyone)
         # Grid of copies x levels whose cells alias the shared instances;
         # perfbench reads it to describe the views.
         self._instances: list[list[StarInstance]] = []
@@ -107,10 +100,8 @@ class Engine:
                 inst = StarInstance(
                     self.graph,
                     threshold=2**i,
-                    mode=instance_mode,
                     seed=_child_seed(self.config.seed, c, i),
                     center_coeff=self.config.center_coeff,
-                    budget_coeff=self.config.budget_coeff,
                 )
                 if inst.centers == everyone:
                     inst = identity
@@ -124,6 +115,8 @@ class Engine:
             inst: ForestPacking(2 ** (i + 1), n, inst.centers) if packed else None
             for inst, i in deepest.items()
         }
+        # an identity view never queues a relabel, so it needs no budget
+        self._throttled = not packed and any(inst is not identity for inst in deepest)
         self.stats = EngineStats()
 
     def insert(self, e: EdgeKey) -> None:
@@ -140,8 +133,12 @@ class Engine:
             self.graph.delete_edge(key)
         else:
             raise ValueError(f"update sign must be +1 or -1, got {sign}")
+        budget = _UNBOUNDED
+        if self._throttled:  # one read of delta serves every view
+            delta = self.graph.min_degree()
+            budget = relabel_budget(self.n, delta, self.config.budget_coeff)
         for inst, packing in self._views.items():
-            deltas = inst.apply_update(key, sign)
+            deltas = inst.apply_update(key, sign, budget)
             if packing is not None:
                 for quotient_edge, d in deltas:
                     packing.apply_delta(quotient_edge, d)

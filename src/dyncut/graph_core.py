@@ -142,9 +142,6 @@ class WeightedGraph:
         self.vertices: set[int] = set(vertices)
         self._w: dict[EdgeKey, int] = {}
 
-    def add_vertex(self, v: int) -> None:
-        self.vertices.add(v)
-
     def add_weight(self, e: EdgeKey, delta: int) -> None:
         key = edge_key(*e)
         w = self._w.get(key, 0) + delta

@@ -206,6 +206,16 @@ def _dense_regular_steps(state: _ReplayState, steps: int, degree: int):
             yield state.delete(e)
 
 
+def dense_regular_degree(n: int, degree: int | None = None) -> int:
+    """The dense-regular degree floor, by default max(2, n // 4); n - 1 is the
+    complete graph, which the churn must break, so it must be in 1..n-2."""
+    floor = max(2, n // 4) if degree is None else degree
+    if not 1 <= floor <= n - 2:
+        got = floor if degree is not None else f"the default {floor} at n = {n}"
+        raise ValueError(f"degree must be in 1..{n - 2}, got {got}")
+    return floor
+
+
 def generate_stream(
     model: str,
     n: int,
@@ -226,7 +236,7 @@ def generate_stream(
     elif model == "sliding-window":
         updates = _sliding_window_steps(state, steps)
     else:
-        updates = _dense_regular_steps(state, steps, degree or max(2, n // 4))
+        updates = _dense_regular_steps(state, steps, dense_regular_degree(n, degree))
     events: list[Event] = []
     emitted = 0
     for ev in updates:

@@ -38,6 +38,7 @@ from dyncut import (
     stoer_wagner,
 )
 from dyncut.cli import main as cli_main
+from dyncut.contraction import DEFAULT_BUDGET_COEFF, relabel_budget
 from dyncut.streams import DELETE, INSERT, QUERY_CUT, QUERY_VALUE
 
 # pinned tolerances
@@ -379,7 +380,7 @@ def _apply_to_instance(inst: StarInstance, e, sign: int) -> None:
         inst.graph.insert_edge(e)
     else:
         inst.graph.delete_edge(e)
-    inst.apply_update(e, sign)
+    inst.apply_update(e, sign, math.inf)
 
 
 def test_criterion_09_contraction_completeness():
@@ -431,8 +432,9 @@ def test_criterion_10_static_oracle_self_consistency():
 
 def test_criterion_11_update_time_trend(monkeypatch):
     # The paper bounds the worst-case update time by O~(n/lambda). Here the
-    # minimum degree delta enters the cost only through the lazy relabel
-    # budget ceil(budget_coeff * n * log2(n)^4 / delta), so the criterion
+    # minimum degree delta enters the cost only through the relabel budget
+    # relabel_budget(n, delta, budget_coeff)
+    # = ceil(budget_coeff * n * log2(n)^4 / delta), so the criterion
     # counts edge moves (_retarget calls), the unit that budget is stated
     # in, over the updates made once the circulant warm-up has brought the
     # minimum degree to `degree`: no instance update may exceed 1 + budget
@@ -452,16 +454,21 @@ def test_criterion_11_update_time_trend(monkeypatch):
         moves += 1
         retarget(self, f, pair, deltas)
 
-    def checked_apply_update(self, e, sign):
+    def checked_apply_update(self, e, sign, budget):
+        # the bound is the paper's budget at the graph's minimum degree, not
+        # the argument: identity-only engines hand every view an unbounded
+        # budget, which no update could breach
         nonlocal breaches
         before = moves
-        out = apply_update(self, e, sign)
+        out = apply_update(self, e, sign, budget)
         if counting:
             taken = moves - before
-            budget = self.relabel_budget()
+            bound = relabel_budget(self.graph.n, self.graph.min_degree(),
+                                   DEFAULT_BUDGET_COEFF)
+            assert budget == math.inf or budget == bound
             worst[degree] = max(worst[degree], taken)
-            budget_min[degree] = min(budget_min[degree], budget)
-            breaches += taken > 1 + budget
+            budget_min[degree] = min(budget_min[degree], bound)
+            breaches += taken > 1 + bound
         return out
 
     monkeypatch.setattr(StarInstance, "_retarget", counted_retarget)

@@ -205,10 +205,18 @@ def test_bad_copies_exit_two(tmp_path, capsys, command):
         (["bench", "--sizes", "8", "--reps", "0"], "--reps must be at least 1, got 0"),
         (["bench", "--sizes", "8", "--steps", "0"],
          "--steps must be at least 1, got 0"),
+        (["bench", "--sizes", "a"],
+         "--sizes must list integers, got 'a'"),
+        # the default degree max(2, n // 4) is n - 1 at n = 3
+        (["gen", "--model", "dense-regular", "-n", "3", "--steps", "12"],
+         "--degree must be in 1..1, got the default 2 at n = 3"),
+        (["bench", "--sizes", "3"],
+         "--degree must be in 1..1, got the default 2 at n = 3"),
     ],
     ids=["gen-n1", "gen-negative-steps", "gen-negative-query-every",
          "gen-degree-above-n", "gen-degree-complete", "bench-n1", "bench-reps0",
-         "bench-steps0"],
+         "bench-steps0", "bench-sizes-not-integer", "gen-default-degree-n3",
+         "bench-default-degree-n3"],
 )
 def test_bad_stream_flags_exit_two(capsys, argv, message):
     # rejected before any output, not with a traceback and exit status 1
@@ -221,17 +229,29 @@ def test_bad_stream_flags_exit_two(capsys, argv, message):
 DATA = Path(__file__).parent / "data"
 
 
-@pytest.mark.parametrize("mode", ["packed", "direct"])
-@pytest.mark.parametrize("cp", ["1", "800"])
-def test_run_witnesses_match_recorded_output(capsys, mode, cp):
+@pytest.mark.parametrize(
+    ("cp", "mode", "extra", "views"),
+    [("1", "packed", [], []), ("1", "direct", [], []),
+     ("800", "packed", [], []), ("800", "direct", [], []),
+     # a budget of one edge move per update leaves the relabel queues
+     # undrained, yet answers and witnesses match the full drain's
+     ("1", "direct", ["--cb", "0.0001"],
+      ["# queue_length=2102",
+       "# completeness=1.0000,1.0000,1.0000,0.7500,0.0000,0.0000"])],
+    ids=["1-packed", "1-direct", "800-packed", "800-direct", "1-direct-cb0.0001"],
+)
+def test_run_witnesses_match_recorded_output(capsys, cp, mode, extra, views):
     # dense32.txt is `dyncut gen --model dense-regular -n 32 --degree 10
-    # --steps 600 --query-every 10 --cut-queries`; the expected stdout was
-    # recorded with the same run flags, and at --cp 1 its query level
-    # contracts
-    code, out, _ = _run(capsys, "run", str(DATA / "dense32.txt"), "--report-edges",
-                        "--copies", "4", "--seed", "3", "--cp", cp, "--mode", mode)
+    # --steps 600 --query-every 10 --cut-queries`; the expected stdout and
+    # views lines were recorded with the same run flags, and at --cp 1 its
+    # query level contracts
+    code, out, err = _run(capsys, "run", str(DATA / "dense32.txt"), "--report-edges",
+                          "--copies", "4", "--seed", "3", "--cp", cp, "--mode", mode,
+                          *extra)
     assert code == 0
     assert out == (DATA / f"dense32_{mode}_cp{cp}.out").read_text()
+    for line in views:
+        assert line in err.splitlines()
 
 
 @pytest.mark.parametrize("command", ["run", "verify"])

@@ -15,6 +15,7 @@ from dyncut import (
     brute_force_mincut,
     edge_key,
 )
+from dyncut.contraction import DEFAULT_BUDGET_COEFF, relabel_budget
 
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
@@ -24,13 +25,22 @@ def _star(n: int, **kw) -> StarInstance:
     return StarInstance(DynamicGraph(n), **kw)
 
 
-def _apply(inst: StarInstance, e, sign: int):
-    """Apply an edge update to the instance's graph, then to the instance."""
+def _apply(inst: StarInstance, e, sign: int, budget_coeff=None):
+    """Apply an edge update to the instance's graph, then to the instance.
+
+    Without a budget coefficient the instance drains its relabel queue in
+    full; with one it drains the relabel budget at the updated graph's
+    minimum degree, as the direct-mode engine hands it.
+    """
     if sign == 1:
         inst.graph.insert_edge(e)
     else:
         inst.graph.delete_edge(e)
-    return inst.apply_update(e, sign)
+    budget = math.inf
+    if budget_coeff is not None:
+        graph = inst.graph
+        budget = relabel_budget(graph.n, graph.min_degree(), budget_coeff)
+    return inst.apply_update(e, sign, budget)
 
 
 def _recontract(inst: StarInstance) -> WeightedGraph:
@@ -163,13 +173,13 @@ def test_sum_of_weights_counts_mapped_edges():
 
 
 def _drive(inst: StarInstance, seed: int, n: int, steps: int,
-            check=None) -> None:
+            check=None, budget_coeff=None) -> None:
     rng = random.Random(seed)
     present: set = set()
     for _ in range(steps):
         if present and rng.random() < 0.4:
             e = rng.choice(sorted(present))
-            _apply(inst, e, -1)
+            _apply(inst, e, -1, budget_coeff)
             present.discard(e)
         else:
             while True:
@@ -177,7 +187,7 @@ def _drive(inst: StarInstance, seed: int, n: int, steps: int,
                 if u != v and edge_key(u, v) not in present:
                     break
             e = edge_key(u, v)
-            _apply(inst, e, +1)
+            _apply(inst, e, +1, budget_coeff)
             present.add(e)
         if check is not None:
             check(inst)
@@ -202,8 +212,8 @@ def test_eager_equals_full_lazy_drain(seed):
     n = 32
     graph = DynamicGraph(n)
     eager, lazy = (
-        StarInstance(graph, threshold=16, mode=mode, center_coeff=1.0, seed=seed)
-        for mode in ("eager", "lazy")
+        StarInstance(graph, threshold=16, center_coeff=1.0, seed=seed)
+        for _ in range(2)
     )
     assert eager.centers == lazy.centers != frozenset(range(n))
     rng = random.Random(seed + 40)
@@ -221,7 +231,10 @@ def test_eager_equals_full_lazy_drain(seed):
             sign = 1
             graph.insert_edge(e)
             present.add(e)
-        assert eager.apply_update(e, sign) == lazy.apply_update(e, sign)
+        budget = relabel_budget(n, graph.min_degree())
+        assert eager.apply_update(e, sign, math.inf) == lazy.apply_update(
+            e, sign, budget
+        )
         assert eager.contracted_graph() == lazy.contracted_graph()
         assert lazy.queue_length() == 0 and not lazy.has_pending()
         relabels += reps != [eager.representative(x) for x in range(n)]
@@ -230,24 +243,22 @@ def test_eager_equals_full_lazy_drain(seed):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_lazy_settles_to_recontraction(seed):
-    inst = _star(12, threshold=8, mode="lazy", center_coeff=2.0, seed=seed)
+    inst = _star(12, threshold=8, center_coeff=2.0, seed=seed)
 
     def check(i):
         _scan_consistency(i)
         if not i.has_pending():
             assert i.contracted_graph() == _recontract(i)
 
-    _drive(inst, seed * 13 + 5, 12, 220, check)
+    _drive(inst, seed * 13 + 5, 12, 220, check, DEFAULT_BUDGET_COEFF)
 
 
 def test_lazy_tiny_budget_still_coherent(monkeypatch):
     # starve the queue so relabels span many updates, then drain fully;
     # the budget is 1 edge move here, so each update may move its own edge
     # plus at most one queued one
-    inst = _star(
-        16, threshold=12, mode="lazy", center_coeff=1.0, seed=3,
-        budget_coeff=1e-4,
-    )
+    coeff = 1e-4
+    inst = _star(16, threshold=12, center_coeff=1.0, seed=3)
     moves = 0
     retarget = StarInstance._retarget
 
@@ -262,22 +273,22 @@ def test_lazy_tiny_budget_still_coherent(monkeypatch):
         nonlocal saw_pending, moves
         saw_pending = saw_pending or i.has_pending()
         _scan_consistency(i)
-        assert moves <= 1 + i.relabel_budget()
+        assert moves <= 1 + relabel_budget(16, i.graph.min_degree(), coeff)
         moves = 0
 
-    _drive(inst, 91, 16, 300, check)
+    _drive(inst, 91, 16, 300, check, coeff)
     assert saw_pending, "budget never throttled the queue"
     while inst.has_pending():
-        _apply(inst, (0, 1), +1)
+        _apply(inst, (0, 1), +1, coeff)
         check(inst)
-        _apply(inst, (0, 1), -1)
+        _apply(inst, (0, 1), -1, coeff)
         check(inst)
     assert inst.contracted_graph() == _recontract(inst)
 
 
 def test_lazy_default_budget_drains_each_step():
     # at this scale the default budget exceeds any queue the stream builds
-    inst = _star(16, threshold=12, mode="lazy", center_coeff=1.0, seed=7)
+    inst = _star(16, threshold=12, center_coeff=1.0, seed=7)
     occupied = 0
     steps = 250
 
@@ -285,16 +296,16 @@ def test_lazy_default_budget_drains_each_step():
         nonlocal occupied
         occupied += 1 if i.has_pending() else 0
 
-    _drive(inst, 17, 16, steps, check)
+    _drive(inst, 17, 16, steps, check, DEFAULT_BUDGET_COEFF)
     assert occupied / steps <= 0.5
 
 
 def test_budget_formula():
-    inst = _star(16, threshold=2, mode="lazy")
+    graph = DynamicGraph(16)
     for e in [(0, 1), (1, 2), (0, 2)]:
-        _apply(inst, e, +1)
-    # delta = 1 (vertex 3 isolated -> max(delta,1)); 16 * 4^4 = 4096
-    assert inst.relabel_budget() == 4096
+        graph.insert_edge(e)
+    # delta = 0 (vertex 3 isolated) counts as 1; 16 * 4^4 = 4096
+    assert relabel_budget(16, graph.min_degree()) == 4096
 
 
 def test_completeness_under_sufficient_degree():
@@ -388,8 +399,6 @@ def test_representative_change_rate_bounded():
 def test_rejects_bad_arguments():
     with pytest.raises(ValueError):
         _star(4, threshold=0)
-    with pytest.raises(ValueError):
-        _star(4, threshold=1, mode="sideways")
     inst = _star(4, threshold=1)
     with pytest.raises(ValueError):
-        inst.apply_update((0, 1), 2)
+        inst.apply_update((0, 1), 2, math.inf)

@@ -287,6 +287,37 @@ def test_on_demand_stats(mode):
         assert queued and incomplete
 
 
+@pytest.mark.parametrize(
+    ("mode", "center_coeff", "reads"),
+    [(MODE_DIRECT, 1.0, 1), (MODE_DIRECT, None, 0), (MODE_PACKED, 1.0, 0)],
+    ids=["direct-contracting", "direct-identity", "packed"],
+)
+def test_min_degree_read_once_per_update(monkeypatch, mode, center_coeff, reads):
+    # The relabel budget depends only on n and the graph's minimum degree,
+    # so a direct-mode update with contracting views reads that degree once
+    # however many views have a queue to drain; identity views never queue
+    # and packed mode drains in full, so neither reads it at all. At
+    # center_coeff 1 levels 3..6 contract, and budget_coeff 1e-4 keeps their
+    # queues from draining.
+    n = 64
+    kw = {} if center_coeff is None else {"center_coeff": center_coeff}
+    eng = Engine(n, _cfg(mode, copies=3, budget_coeff=1e-4, **kw))
+    reads_made = _count_calls(monkeypatch, DynamicGraph, "min_degree")
+    rng = random.Random(8)
+    present = set()
+    queued = 0
+    for _ in range(400):
+        u, v = rng.sample(range(n), 2)
+        e = edge_key(u, v)
+        sign = -1 if e in present else 1
+        present ^= {e}
+        before = reads_made[0]
+        eng.update(e, sign)
+        assert reads_made[0] - before == reads
+        queued += eng.queue_length() > 0
+    assert (queued > 0) == (mode == MODE_DIRECT and center_coeff is not None)
+
+
 def _two_k4_bridge():
     return (list(combinations(range(4), 2)) + list(combinations(range(4, 8), 2))
             + [(3, 4)])

@@ -129,6 +129,14 @@ def test_dense_regular_degree_flag():
     assert floors[-1] >= 6
 
 
+@pytest.mark.parametrize(("n", "degree"), [(3, None), (2, None), (8, 7), (8, 0)])
+def test_dense_regular_rejects_degree_it_cannot_keep(n, degree):
+    # the default max(2, n // 4) is n - 1 at n = 3 and above it at n = 2;
+    # n - 1 is the complete graph, which the churn must break
+    with pytest.raises(ValueError, match=rf"degree must be in 1\.\.{n - 2}"):
+        generate_stream("dense-regular", n, 12, seed=0, degree=degree)
+
+
 def test_unknown_model_rejected():
     with pytest.raises(ValueError):
         generate_stream("zigzag", 8, 10, seed=0)
