@@ -9,7 +9,7 @@ import time
 
 from .contraction import DEFAULT_BUDGET_COEFF, DEFAULT_CENTER_COEFF
 from .engine import MODE_DIRECT, MODE_PACKED, Engine, EngineConfig
-from .graph_core import WeightedGraph
+from .graph_core import GraphError, WeightedGraph
 from .mincut import BRUTE_FORCE_LIMIT, brute_force_mincut, stoer_wagner
 from .streams import (
     DELETE,
@@ -69,6 +69,15 @@ def _check_stream_flags(args: argparse.Namespace, sizes: list[int],
                 raise UsageError(f"--{exc}") from None
 
 
+def _update(engine: Engine, stream: UpdateStream, i: int) -> None:
+    """Apply the stream's i-th event, an update, naming its line if illegal."""
+    ev = stream.events[i]
+    try:
+        engine.update(ev.edge, 1 if ev.kind == INSERT else -1)
+    except GraphError as exc:  # a duplicate insert or a missing delete
+        raise StreamFormatError(stream.lines[i], str(exc)) from None
+
+
 def cmd_gen(args: argparse.Namespace) -> int:
     _check_stream_flags(args, [args.n])
     stream = generate_stream(
@@ -96,11 +105,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         config.report_edges = True
     engine = _new_engine(stream.n, config)
     started = time.perf_counter()
-    for ev in stream.events:
-        if ev.kind == INSERT:
-            engine.insert(ev.edge)
-        elif ev.kind == DELETE:
-            engine.delete(ev.edge)
+    for i, ev in enumerate(stream.events):
+        if ev.kind in (INSERT, DELETE):
+            _update(engine, stream, i)
         elif ev.kind == QUERY_VALUE:
             print(engine.query_value())
         else:
@@ -181,13 +188,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     shadow = WeightedGraph(range(stream.n))
     checked = 0
     failures = 0
-    for ev in stream.events:
-        if ev.kind == INSERT:
-            engine.insert(ev.edge)
-            shadow.add_weight(ev.edge, 1)
-        elif ev.kind == DELETE:
-            engine.delete(ev.edge)
-            shadow.add_weight(ev.edge, -1)
+    for i, ev in enumerate(stream.events):
+        if ev.kind in (INSERT, DELETE):
+            _update(engine, stream, i)
+            shadow.add_weight(ev.edge, 1 if ev.kind == INSERT else -1)
         else:
             expected = oracle(shadow).value
             checked += 1

@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter, deque
-from dataclasses import dataclass, field
 
 from .graph_core import DynamicGraph, EdgeKey, WeightedGraph, edge_key
 from .sampling import StableSampler
@@ -20,17 +19,6 @@ def relabel_budget(n: int, min_degree: int, coeff: float = DEFAULT_BUDGET_COEFF)
     """Edge moves one update may drain from a relabel queue: the paper's
     O~(n / lambda) budget, ceil(coeff * n * log2(n)^4 / max(delta, 1))."""
     return math.ceil(coeff * n * math.log2(max(n, 2)) ** 4 / max(min_degree, 1))
-
-
-@dataclass
-class RelabelTask:
-    """Deferred renaming of one endpoint's side across its incident edges."""
-
-    vertex: int
-    old_rep: int | None
-    new_rep: int | None
-    edges: list[EdgeKey]
-    cursor: int = field(default=0)
 
 
 class StarInstance:
@@ -49,11 +37,13 @@ class StarInstance:
     (the stored image is authoritative, weights always aggregate the stored
     images); a quotient edge's preimage is read from the images on demand.
 
-    A representative change queues the renaming of the vertex's side on
-    all its incident edges, and each update drains at most the budget of
-    edge moves its caller hands in; math.inf drains the queue in full. A
-    queued move is skipped unless the stored image still carries the old
-    name, which makes replays of superseded tasks harmless.
+    Relabeling is lazy and keeps one invariant: every live edge whose
+    stored image is not its endpoints' current representatives is in the
+    relabel queue. A representative change appends the vertex's incident
+    edges to the queue, and each update pops at most the budget of queued
+    edges its caller hands in (math.inf drains the queue in full), one
+    unit per pop, and points each live one at its endpoints' current
+    representatives.
     """
 
     def __init__(
@@ -83,7 +73,8 @@ class StarInstance:
         self._image: dict[EdgeKey, tuple[int | None, int | None]] = {}
         self._contracted = WeightedGraph(self.centers)
         self._unmapped = 0
-        self._queue: deque[RelabelTask] = deque()
+        # edges whose stored image may be stale, oldest first
+        self._queue: deque[EdgeKey] = deque()
 
     # -- representatives ----------------------------------------------------
 
@@ -111,11 +102,11 @@ class StarInstance:
         return frozenset(f for f, pair in self._image.items() if pair in (c, c[::-1]))
 
     def is_complete(self) -> bool:
-        """True when every live edge is mapped and no renames are pending."""
+        """True when every live edge is mapped and no edge is queued."""
         return not self._queue and self._unmapped == 0
 
     def queue_length(self) -> int:
-        return sum(len(t.edges) - t.cursor for t in self._queue)
+        return len(self._queue)
 
     def has_pending(self) -> bool:
         return bool(self._queue)
@@ -129,7 +120,7 @@ class StarInstance:
         sign is +1 for insertion, -1 for deletion, and the caller has
         already applied it to the graph. The returned list pairs quotient
         edge keys with the net weight change this update caused, including
-        the deferred renames drained from the queue, at most budget moves.
+        the queued edges drained from the queue, at most budget of them.
         """
         if sign not in (1, -1):
             raise ValueError(f"update sign must be +1 or -1, got {sign}")
@@ -147,36 +138,25 @@ class StarInstance:
         if u_center != v_center:
             center, other = (u, v) if u_center else (v, u)
             sampler = self._sampler(other)
-            before = sampler.current()
             changed = sampler.insert(center) if sign == 1 else sampler.remove(center)
-            if changed:
-                snapshot = [edge_key(other, x) for x in self.graph.neighbors(other)]
-                self._queue.append(
-                    RelabelTask(other, before, sampler.current(), snapshot)
-                )
+            if changed:  # other's edges may now carry a stale name
+                neighbors = self.graph.neighbors(other)
+                self._queue.extend([edge_key(other, x) for x in neighbors])
         if self._queue:
             self._drain(budget, deltas)
         return [(c, d) for c, d in deltas.items() if d != 0]
 
     def _drain(self, budget: float, deltas: Counter) -> None:
-        while budget > 0 and self._queue:
-            task = self._queue[0]
-            while task.cursor < len(task.edges) and budget > 0:
-                f = task.edges[task.cursor]
-                task.cursor += 1
-                budget -= 1
-                old = self._image.get(f)
-                if old is None:
-                    continue  # edge died since the task was queued
-                side = 0 if f[0] == task.vertex else 1
-                if old[side] != task.old_rep:
-                    continue  # image moved on already, task is stale here
-                pair = (
-                    (task.new_rep, old[1]) if side == 0 else (old[0], task.new_rep)
-                )
+        queue, image, rep = self._queue, self._image, self.representative
+        while budget > 0 and queue:
+            f = queue.popleft()
+            budget -= 1  # a pop costs one move, live edge or dead
+            old = image.get(f)
+            if old is None:
+                continue  # edge died since it was queued
+            pair = (rep(f[0]), rep(f[1]))
+            if pair != old:
                 self._retarget(f, pair, deltas)
-            if task.cursor == len(task.edges):
-                self._queue.popleft()
 
     def _retarget(self, f: EdgeKey, pair, deltas: Counter) -> None:
         """Point edge f at a new representative pair, keeping the quotient

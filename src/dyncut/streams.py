@@ -96,20 +96,18 @@ class _ReplayState:
     def __init__(self, n: int, rng: random.Random) -> None:
         self.n = n
         self.rng = rng
-        self.present: set[EdgeKey] = set()
         self.order: list[EdgeKey] = []
+        # position of each present edge in order; its keys are the edge set
         self.index: dict[EdgeKey, int] = {}
         self.degree = [0] * n
 
     def _register(self, e: EdgeKey) -> None:
-        self.present.add(e)
         self.index[e] = len(self.order)
         self.order.append(e)
         self.degree[e[0]] += 1
         self.degree[e[1]] += 1
 
     def _unregister(self, e: EdgeKey) -> None:
-        self.present.discard(e)
         i = self.index.pop(e)
         last = self.order.pop()
         if last != e:
@@ -119,7 +117,7 @@ class _ReplayState:
         self.degree[e[1]] -= 1
 
     def full(self) -> bool:
-        return len(self.present) == self.n * (self.n - 1) // 2
+        return len(self.index) == self.n * (self.n - 1) // 2
 
     def random_absent(self) -> EdgeKey:
         if self.full():
@@ -127,7 +125,7 @@ class _ReplayState:
         while True:
             u = self.rng.randrange(self.n)
             v = self.rng.randrange(self.n)
-            if u != v and edge_key(u, v) not in self.present:
+            if u != v and edge_key(u, v) not in self.index:
                 return edge_key(u, v)
 
     def random_present(self) -> EdgeKey:
@@ -146,7 +144,7 @@ def _erdos_steps(state: _ReplayState, steps: int):
     # grow toward roughly 2n edges, then churn around that density
     target = 2 * state.n
     for _ in range(steps):
-        m = len(state.present)
+        m = len(state.index)
         if m == 0:
             yield state.insert(state.random_absent())
         elif state.full():
@@ -181,7 +179,7 @@ def _dense_regular_steps(state: _ReplayState, steps: int, degree: int):
             if emitted >= steps:
                 return
             e = edge_key(v, (v + offset) % state.n)
-            if e not in state.present:
+            if e not in state.index:
                 emitted += 1
                 yield state.insert(e)
     deletable: list[EdgeKey] = []

@@ -102,6 +102,21 @@ def test_run_parse_error_exit_two(tmp_path, capsys):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize("command", ["run", "verify"])
+@pytest.mark.parametrize(
+    ("update", "message"),
+    [("+ 0 1", "edge (0, 1) already present"), ("- 2 3", "edge (2, 3) not present")],
+    ids=["duplicate-insert", "missing-delete"],
+)
+def test_illegal_update_names_its_line(tmp_path, capsys, command, update, message):
+    # the line counts the blank one, so it is the source line, not the event
+    path = tmp_path / "bad.txt"
+    path.write_text(f"n 4\n+ 0 1\n?\n\n{update}\n?\n")
+    code, _, err = _run(capsys, command, str(path), "--copies", "4")
+    assert code == 2
+    assert err == f"dyncut: line 5: {message}\n"
+
+
 def test_verify_agrees(tmp_path, capsys):
     path = tmp_path / "v.txt"
     _run(capsys, "gen", "--n", "12", "--steps", "80", "--seed", "5",

@@ -25,18 +25,18 @@ def _star(n: int, **kw) -> StarInstance:
     return StarInstance(DynamicGraph(n), **kw)
 
 
-def _apply(inst: StarInstance, e, sign: int, budget_coeff=None):
+def _apply(inst: StarInstance, e, sign: int, budget_coeff=None, budget=math.inf):
     """Apply an edge update to the instance's graph, then to the instance.
 
-    Without a budget coefficient the instance drains its relabel queue in
-    full; with one it drains the relabel budget at the updated graph's
-    minimum degree, as the direct-mode engine hands it.
+    Without a budget coefficient the instance drains up to budget queued
+    edges, by default its whole relabel queue; with one it drains the
+    relabel budget at the updated graph's minimum degree, as the
+    direct-mode engine hands it.
     """
     if sign == 1:
         inst.graph.insert_edge(e)
     else:
         inst.graph.delete_edge(e)
-    budget = math.inf
     if budget_coeff is not None:
         graph = inst.graph
         budget = relabel_budget(graph.n, graph.min_degree(), budget_coeff)
@@ -67,6 +67,13 @@ def _scan_consistency(inst: StarInstance) -> None:
     assert len(set(mapped)) == len(mapped)
     assert set(mapped) <= set(inst.graph.edges())
     assert contracted.total_weight() == len(mapped)
+    # the relabel invariant: every live edge has an image, and one that
+    # differs from its endpoints' current representatives is queued
+    queued = set(inst._queue)
+    assert inst._image.keys() == set(inst.graph.edges())
+    for u, v in inst.graph.edges():
+        pair = (inst.representative(u), inst.representative(v))
+        assert inst._image[u, v] == pair or (u, v) in queued, (u, v)
 
 
 def test_probability_clamps_to_one():
@@ -237,6 +244,8 @@ def test_eager_equals_full_lazy_drain(seed):
         )
         assert eager.contracted_graph() == lazy.contracted_graph()
         assert lazy.queue_length() == 0 and not lazy.has_pending()
+        _scan_consistency(eager)
+        _scan_consistency(lazy)
         relabels += reps != [eager.representative(x) for x in range(n)]
     assert relabels >= 10
 
@@ -286,6 +295,63 @@ def test_lazy_tiny_budget_still_coherent(monkeypatch):
     assert inst.contracted_graph() == _recontract(inst)
 
 
+def _budgeted(inst: StarInstance, budget: float):
+    """A step function applying updates to the instance at a fixed budget."""
+
+    def step(e, sign):
+        _apply(inst, e, sign, budget=budget)
+        _scan_consistency(inst)
+
+    return step
+
+
+def test_drained_queue_pends_nothing():
+    # a non-center that loses its last center has no edges left to rename;
+    # once the queue ahead of it drains, the view is complete
+    n = 40
+    inst = _star(n, threshold=1, seed=1, centers=frozenset(range(n)) - {4, 5})
+    step = _budgeted(inst, 1)
+    spare = list(range(6, n))
+    for c in spare[:14]:
+        step((4, c), +1)
+    step((1, 5), +1)
+    rep = inst.representative(4)
+    for c in spare[14:]:
+        step((4, c), +1)
+        if inst.representative(4) != rep:
+            break
+    assert inst.representative(4) != rep
+    step((1, 5), -1)  # 5 has no center neighbour and no edge left
+    assert inst.queue_length() > 0
+    sign = +1
+    while inst.queue_length():
+        step((2, 3), sign)
+        sign = -sign
+    assert not inst.has_pending()
+    assert inst.is_complete()
+    assert inst.contracted_graph() == _recontract(inst)
+
+
+def test_stale_relabel_never_reaches_a_reinserted_edge():
+    # 2 gains center 0 and loses it again while (2, 3) is deleted and
+    # reinserted; the rename queued by the first change must not map the
+    # reinserted edge, whose endpoint 2 has no representative now
+    inst = _star(4, threshold=1, centers=frozenset({0, 1}))
+    step = _budgeted(inst, 0)  # nothing drains until the last update
+    step((1, 3), +1)
+    step((2, 3), +1)
+    step((0, 2), +1)  # rep(2): None -> 0
+    step((2, 3), -1)
+    step((0, 2), -1)  # rep(2): 0 -> None
+    step((2, 3), +1)
+    _apply(inst, (0, 1), +1)
+    _scan_consistency(inst)
+    assert inst.representative(2) is None
+    assert not inst.has_pending()
+    assert not inst.is_complete()  # (2, 3) is unmapped
+    assert inst.contracted_graph() == _recontract(inst)
+
+
 def test_lazy_default_budget_drains_each_step():
     # at this scale the default budget exceeds any queue the stream builds
     inst = _star(16, threshold=12, center_coeff=1.0, seed=7)
@@ -295,6 +361,7 @@ def test_lazy_default_budget_drains_each_step():
     def check(i):
         nonlocal occupied
         occupied += 1 if i.has_pending() else 0
+        _scan_consistency(i)
 
     _drive(inst, 17, 16, steps, check, DEFAULT_BUDGET_COEFF)
     assert occupied / steps <= 0.5

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from dyncut import (
@@ -91,6 +93,15 @@ def test_generator_determinism():
     a = generate_stream("erdos-insert-delete", 16, 100, seed=7)
     b = generate_stream("erdos-insert-delete", 16, 100, seed=7)
     assert a == b
+
+
+def test_generator_reproduces_recorded_stream():
+    # tests/data/dense32.txt was written by `dyncut gen --model dense-regular
+    # -n 32 --degree 10 --steps 600 --query-every 10 --cut-queries`
+    recorded = Path(__file__).parent / "data" / "dense32.txt"
+    stream = generate_stream("dense-regular", 32, 600, seed=0, query_every=10,
+                             degree=10, query_kind=QUERY_CUT)
+    assert render_stream(stream) == recorded.read_text()
 
 
 def test_generator_update_count():
