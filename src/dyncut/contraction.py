@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 import random
-from collections import Counter, deque
 
 from .graph_core import DynamicGraph, EdgeKey, WeightedGraph, edge_key
 from .sampling import StableSampler
@@ -37,13 +36,14 @@ class StarInstance:
     (the stored image is authoritative, weights always aggregate the stored
     images); a quotient edge's preimage is read from the images on demand.
 
-    Relabeling is lazy and keeps one invariant: every live edge whose
-    stored image is not its endpoints' current representatives is in the
-    relabel queue. A representative change appends the vertex's incident
-    edges to the queue, and each update pops at most the budget of queued
-    edges its caller hands in (math.inf drains the queue in full), one
-    unit per pop, and points each live one at its endpoints' current
-    representatives.
+    Relabeling is lazy and keeps one invariant: the relabel queue holds
+    live edges only, each at most once, and every live edge whose stored
+    image is not its endpoints' current representatives is in it. A
+    representative change adds the vertex's incident edges to the queue,
+    a deletion takes its edge out, and each update pops at most the budget
+    of queued edges its caller hands in (math.inf drains the queue in
+    full), newest first, one unit per pop, and points each at its
+    endpoints' current representatives.
     """
 
     def __init__(
@@ -73,8 +73,10 @@ class StarInstance:
         self._image: dict[EdgeKey, tuple[int | None, int | None]] = {}
         self._contracted = WeightedGraph(self.centers)
         self._unmapped = 0
-        # edges whose stored image may be stale, oldest first
-        self._queue: deque[EdgeKey] = deque()
+        # live edges whose stored image may be stale, as an insertion-ordered
+        # set; no answer depends on the order, since a view with a queue is
+        # never read
+        self._queue: dict[EdgeKey, None] = {}
 
     # -- representatives ----------------------------------------------------
 
@@ -125,7 +127,7 @@ class StarInstance:
         if sign not in (1, -1):
             raise ValueError(f"update sign must be +1 or -1, got {sign}")
         key = edge_key(*e)
-        deltas: Counter[EdgeKey] = Counter()
+        deltas: dict[EdgeKey, int] = {}
         if sign == 1:
             pair = (self.representative(key[0]), self.representative(key[1]))
             self._retarget(key, pair, deltas)
@@ -141,24 +143,21 @@ class StarInstance:
             changed = sampler.insert(center) if sign == 1 else sampler.remove(center)
             if changed:  # other's edges may now carry a stale name
                 neighbors = self.graph.neighbors(other)
-                self._queue.extend([edge_key(other, x) for x in neighbors])
+                self._queue.update(dict.fromkeys(edge_key(other, x) for x in neighbors))
         if self._queue:
             self._drain(budget, deltas)
         return [(c, d) for c, d in deltas.items() if d != 0]
 
-    def _drain(self, budget: float, deltas: Counter) -> None:
+    def _drain(self, budget: float, deltas: dict[EdgeKey, int]) -> None:
         queue, image, rep = self._queue, self._image, self.representative
         while budget > 0 and queue:
-            f = queue.popleft()
-            budget -= 1  # a pop costs one move, live edge or dead
-            old = image.get(f)
-            if old is None:
-                continue  # edge died since it was queued
+            f, _ = queue.popitem()
+            budget -= 1
             pair = (rep(f[0]), rep(f[1]))
-            if pair != old:
+            if pair != image[f]:
                 self._retarget(f, pair, deltas)
 
-    def _retarget(self, f: EdgeKey, pair, deltas: Counter) -> None:
+    def _retarget(self, f: EdgeKey, pair, deltas: dict[EdgeKey, int]) -> None:
         """Point edge f at a new representative pair, keeping the quotient
         weights and the unmapped counter aligned."""
         old = self._image.get(f)
@@ -168,10 +167,11 @@ class StarInstance:
             elif old[0] != old[1]:
                 c = edge_key(old[0], old[1])
                 self._contracted.add_weight(c, -1)
-                deltas[c] -= 1
+                deltas[c] = deltas.get(c, 0) - 1
         if pair is _CLEAR:
             if old is not None:
                 del self._image[f]
+            self._queue.pop(f, None)
             return
         self._image[f] = pair
         if pair[0] is None or pair[1] is None:
@@ -179,4 +179,4 @@ class StarInstance:
         elif pair[0] != pair[1]:
             c = edge_key(pair[0], pair[1])
             self._contracted.add_weight(c, 1)
-            deltas[c] += 1
+            deltas[c] = deltas.get(c, 0) + 1

@@ -154,7 +154,8 @@ class Engine:
         ]
 
     def queue_length(self) -> int:
-        """Edge moves still queued across the distinct instances."""
+        """Live edges queued as possibly stale, summed over the distinct
+        instances; each instance holds an edge at most once."""
         return sum(inst.queue_length() for inst in self._views)
 
     # -- queries ---------------------------------------------------------

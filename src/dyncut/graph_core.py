@@ -92,10 +92,6 @@ class DynamicGraph:
         self._edge_count -= 1
         self._push_degrees(u, v)
 
-    def has_edge(self, e: EdgeKey) -> bool:
-        u, v = edge_key(*e)
-        return 0 <= u < self.n and v in self._adj[u]
-
     def neighbors(self, v: int) -> set[int]:
         """Live neighbor set of v; callers must not mutate it."""
         self._check_vertex(v)

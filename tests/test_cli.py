@@ -251,7 +251,7 @@ DATA = Path(__file__).parent / "data"
      # a budget of one edge move per update leaves the relabel queues
      # undrained, yet answers and witnesses match the full drain's
      ("1", "direct", ["--cb", "0.0001"],
-      ["# queue_length=2102",
+      ["# queue_length=108",
        "# completeness=1.0000,1.0000,1.0000,0.7500,0.0000,0.0000"])],
     ids=["1-packed", "1-direct", "800-packed", "800-direct", "1-direct-cb0.0001"],
 )

@@ -67,9 +67,11 @@ def _scan_consistency(inst: StarInstance) -> None:
     assert len(set(mapped)) == len(mapped)
     assert set(mapped) <= set(inst.graph.edges())
     assert contracted.total_weight() == len(mapped)
-    # the relabel invariant: every live edge has an image, and one that
-    # differs from its endpoints' current representatives is queued
+    # the relabel invariant: the queue holds live edges only, every live
+    # edge has an image, and one that differs from its endpoints' current
+    # representatives is queued
     queued = set(inst._queue)
+    assert queued <= set(inst.graph.edges())
     assert inst._image.keys() == set(inst.graph.edges())
     for u, v in inst.graph.edges():
         pair = (inst.representative(u), inst.representative(v))

@@ -21,9 +21,11 @@ from dyncut import (
     WeightedGraph,
     brute_force_mincut,
     edge_key,
+    generate_stream,
     stoer_wagner,
 )
 from dyncut.contraction import StarInstance
+from dyncut.streams import INSERT
 
 MODES = (MODE_PACKED, MODE_DIRECT)
 
@@ -316,6 +318,26 @@ def test_min_degree_read_once_per_update(monkeypatch, mode, center_coeff, reads)
         assert reads_made[0] - before == reads
         queued += eng.queue_length() > 0
     assert (queued > 0) == (mode == MODE_DIRECT and center_coeff is not None)
+
+
+def test_relabel_queues_hold_live_edges_once():
+    # a budget of one edge move per update leaves the relabel queues
+    # undrained on most of these 3,000 updates, while representative changes
+    # keep adding the same edges and deletions kill queued ones; a queue
+    # that kept an edge per change, or kept dead edges, would outgrow the
+    # graph (the 160 live edges here)
+    stream = generate_stream("dense-regular", 32, 3000, 0, degree=10)
+    eng = Engine(32, _cfg(MODE_DIRECT, copies=4, seed=3, center_coeff=1.0,
+                          budget_coeff=1e-4))
+    queued = 0
+    for ev in stream.events:
+        eng.update(ev.edge, 1 if ev.kind == INSERT else -1)
+        live = set(eng.graph.edges())
+        for inst in eng._views:
+            assert inst.queue_length() <= eng.graph.edge_count
+            assert set(inst._queue) <= live
+        queued += eng.queue_length() > 0
+    assert queued > 1000  # the throttle binds
 
 
 def _two_k4_bridge():
