@@ -239,8 +239,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 query_every=args.query_every,
                 degree=args.degree,
             )
-            config = EngineConfig(mode=args.mode, copies=args.copies, seed=args.seed)
-            engine = _new_engine(n, config)
+            engine = _new_engine(n, _engine_config(args))
             for ev in stream.events:
                 t0 = time.perf_counter()
                 if ev.kind == INSERT:
@@ -308,16 +307,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench", help="time updates and queries across sizes")
     bench.add_argument("--sizes", default="64,128,256")
-    bench.add_argument("--mode", choices=(MODE_PACKED, MODE_DIRECT),
-                       default=MODE_DIRECT)
     bench.add_argument("--reps", type=int, default=3)
     bench.add_argument("--model", choices=MODELS, default="dense-regular")
     bench.add_argument("--degree", type=int, default=None)
     bench.add_argument("--steps", type=int, default=2000)
     bench.add_argument("--query-every", type=int, default=100)
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--copies", type=int, default=None)
-    bench.set_defaults(func=cmd_bench)
+    _add_engine_flags(bench)
+    bench.set_defaults(func=cmd_bench, mode=MODE_DIRECT)
 
     return parser
 

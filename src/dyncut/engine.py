@@ -42,7 +42,7 @@ class Engine:
     """Maintains the exact global minimum cut value under edge updates.
 
     Each independent copy draws one contraction instance per threshold 2^i,
-    i = 0..ceil(log2 n). An instance whose drawn center set is all of V is
+    i = 0..floor(log2(n-1)). An instance whose drawn center set is all of V is
     the identity contraction: it has no samplers, so every such instance
     holds the same quotient (the graph itself) under the same updates, and
     one shared identity instance fills all of those grid cells. The view
@@ -62,6 +62,8 @@ class Engine:
     minimum degree, skips incomplete ones, and never answers below the true
     cut value; the minimum degree is an always-valid fallback. Statistics
     beyond the update and query counts are read from the views on demand.
+    A simple graph's minimum degree is at most n - 1, so every level built
+    is one a query can read (there are none at n = 1).
     """
 
     def __init__(self, n: int, config: EngineConfig | None = None) -> None:
@@ -75,10 +77,9 @@ class Engine:
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value}")
         self.n = n
-        log_n = math.log2(max(n, 2))
-        self.levels = math.ceil(log_n) + 1
+        self.levels = (n - 1).bit_length()
         if self.config.copies is None:
-            self.copies = max(1, math.ceil(5 * log_n))
+            self.copies = math.ceil(5 * math.log2(max(n, 2)))
         elif self.config.copies < 1:
             raise ValueError(f"copies must be positive, got {self.config.copies}")
         else:
@@ -161,7 +162,7 @@ class Engine:
     # -- queries ---------------------------------------------------------
 
     def _level_for_degree(self, degree: int) -> int:
-        return min(degree.bit_length() - 1, self.levels - 1)
+        return degree.bit_length() - 1
 
     def _evaluate(self) -> tuple[int, StarInstance | None, frozenset[int]]:
         """The answer with the instance and quotient side it was read from;

@@ -18,25 +18,6 @@ class CutResult:
     cut_edges: frozenset[EdgeKey]
 
 
-def _components(adj: dict[int, dict[int, int]]) -> list[set[int]]:
-    seen: set[int] = set()
-    comps = []
-    for root in sorted(adj):
-        if root in seen:
-            continue
-        comp = {root}
-        stack = [root]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in comp:
-                    comp.add(y)
-                    stack.append(y)
-        seen |= comp
-        comps.append(comp)
-    return comps
-
-
 def _crossing_edges(g: WeightedGraph, side: frozenset[int]) -> frozenset[EdgeKey]:
     return frozenset(e for e, _ in g.edges() if (e[0] in side) != (e[1] in side))
 
@@ -57,13 +38,16 @@ def stoer_wagner(g: WeightedGraph) -> CutResult:
     them, and contracting every marked edge keeps each such cut. The last
     vertex of a phase is attached with its whole degree, which is at least
     the bound, so every phase contracts at least one edge. Merged vertices
-    offer their degree as a cut, and the phases stop at one vertex. So the
-    bound ends at the minimum cut value, and its side is the preimage of
-    the prefix or merged vertex that set it.
+    offer their degree as a cut, and the phases stop at one vertex or at a
+    bound of 0. So the bound ends at the minimum cut value, and its side is
+    the preimage of the prefix or merged vertex that set it.
 
-    Disconnected inputs report value 0 with one side a union of components;
-    fewer than two vertices is an error. Deterministic for a given input:
-    the edge insertion order does not change the result.
+    Disconnected inputs report value 0 with the smallest isolated vertex as
+    the side or, if none is isolated, the component of the smallest vertex
+    (the rest of the graph when that is smaller): the first phase runs out
+    at the end of that component. Fewer than two vertices is an error.
+    Deterministic for a given input: the edge insertion order does not
+    change the result.
     """
     if len(g.vertices) < 2:
         raise ValueError("minimum cut needs at least two vertices")
@@ -71,19 +55,13 @@ def stoer_wagner(g: WeightedGraph) -> CutResult:
     for (u, v), w in g.edges():
         adj[u][v] = w
         adj[v][u] = w
-    comps = _components(adj)
-    if len(comps) > 1:
-        # all but the component with the largest minimum vertex
-        side = frozenset().union(*comps[:-1])
-        return CutResult(0, side, frozenset())
-
     merged: dict[int, list[int]] = {v: [v] for v in g.vertices}
     degree = {v: sum(nbrs.values()) for v, nbrs in adj.items()}
 
     # the upper bound and the side that attains it
     best_value, seed = min((d, v) for v, d in degree.items())
     best_side = [seed]
-    while len(adj) > 1:
+    while len(adj) > 1 and best_value > 0:
         # maximum-adjacency phase from a deterministic start vertex
         start = min(adj)
         attach = {start: 0}

@@ -226,6 +226,15 @@ def test_copies_default_scales_with_size():
     assert Engine(2, EngineConfig()).copies == 5
 
 
+def test_every_built_level_is_read():
+    # a simple graph's minimum degree is 1..n-1 when a query reads a level,
+    # and the engine builds exactly the levels those degrees select
+    for n in range(1, 131):
+        eng = Engine(n, _cfg(MODE_DIRECT, copies=1))
+        read = {eng._level_for_degree(d) for d in range(1, n)}
+        assert read == set(range(eng.levels)), n
+
+
 def test_rejects_bad_config():
     with pytest.raises(ValueError):
         Engine(0)
@@ -261,7 +270,7 @@ def test_stats_counters():
 @pytest.mark.parametrize("mode", MODES)
 def test_on_demand_stats(mode):
     # center probability min(1, log2(64) / 2^i): levels 0..2 are the
-    # identity, levels 3..6 contract; a budget of at most 9 edge moves per
+    # identity, levels 3..5 contract; a budget of at most 9 edge moves per
     # update keeps direct mode's relabel queues from draining, while packed
     # mode relabels eagerly and never keeps a queue
     n = 64
@@ -299,7 +308,7 @@ def test_min_degree_read_once_per_update(monkeypatch, mode, center_coeff, reads)
     # so a direct-mode update with contracting views reads that degree once
     # however many views have a queue to drain; identity views never queue
     # and packed mode drains in full, so neither reads it at all. At
-    # center_coeff 1 levels 3..6 contract, and budget_coeff 1e-4 keeps their
+    # center_coeff 1 levels 3..5 contract, and budget_coeff 1e-4 keeps their
     # queues from draining.
     n = 64
     kw = {} if center_coeff is None else {"center_coeff": center_coeff}
@@ -384,13 +393,13 @@ def test_identity_views_are_shared(monkeypatch, mode):
 @pytest.mark.parametrize("mode", MODES)
 def test_contracting_levels_keep_their_copies(monkeypatch, mode):
     # center probability min(1, 2 * log2(64) / 2^i): levels 0..3 are the
-    # identity, levels 4..6 contract and keep one instance per copy; every
+    # identity, levels 4..5 contract and keep one instance per copy; every
     # instance reads the engine's graph, so an insert changes one graph
     updates = _count_calls(monkeypatch, StarInstance, "apply_update")
     graph_inserts = _count_calls(monkeypatch, DynamicGraph, "insert_edge")
     copies = 3
     eng = Engine(64, _cfg(mode, copies=copies, center_coeff=2.0))
-    contracting = [4, 5, 6]
+    contracting = [4, 5]
     for i in range(eng.levels):
         distinct = {id(row[i]) for row in eng._instances}
         assert len(distinct) == (copies if i in contracting else 1)
@@ -437,10 +446,11 @@ def test_rejected_updates_leave_engine_unchanged(mode):
 
 
 def test_drawn_identity_shares_a_mixed_level():
-    # center probability 2.5 * log2(8) / 8 < 1 at level 3, yet some copies
-    # draw every vertex: those cells alias the shared identity instance
-    eng = Engine(8, _cfg(MODE_PACKED, copies=6, center_coeff=2.5))
-    cells = [row[3] for row in eng._instances]
+    # center probability 1.25 * log2(8) / 4 < 1 at level 2, the top level
+    # at n = 8, yet some copies draw every vertex: those cells alias the
+    # shared identity instance
+    eng = Engine(8, _cfg(MODE_PACKED, copies=6, center_coeff=1.25))
+    cells = [row[2] for row in eng._instances]
     drawn_all = [inst for inst in cells if len(inst.centers) == 8]
     assert 0 < len(drawn_all) < len(cells)
     assert {id(inst) for inst in drawn_all} == {id(eng._instances[0][0])}

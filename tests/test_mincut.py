@@ -42,6 +42,18 @@ def test_disconnected_returns_zero():
     g.add_weight((2, 3), 1)
     assert stoer_wagner(g).value == 0
     assert brute_force_mincut(g).value == 0
+    # the first phase runs out at the end of the smallest vertex's component
+    three = WeightedGraph(range(6))
+    for e in ((0, 1), (2, 3), (4, 5)):
+        three.add_weight(e, 1)
+    cut = stoer_wagner(three)
+    assert (cut.value, cut.side, cut.cut_edges) == (0, frozenset({0, 1}), frozenset())
+    # an isolated vertex seeds the bound at 0
+    isolated = WeightedGraph(range(4))
+    for e in ((0, 1), (1, 2), (0, 2)):
+        isolated.add_weight(e, 1)
+    cut = stoer_wagner(isolated)
+    assert (cut.value, cut.side, cut.cut_edges) == (0, frozenset({3}), frozenset())
 
 
 def _complete(n: int) -> WeightedGraph:
