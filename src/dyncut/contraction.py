@@ -24,8 +24,10 @@ class StarInstance:
     """One contraction of the input graph at a fixed degree threshold.
 
     The instance reads the caller's DynamicGraph and never changes it: the
-    caller applies each edge update to that graph first, then passes the
-    same edge to apply_update. Any number of instances can read one graph.
+    caller validates each edge update and applies it to that graph first,
+    then passes the edge's canonical key to apply_update, which stores that
+    key object as is. Any number of instances can read one graph, and
+    instances fed the same key object keep one tuple per edge between them.
 
     A random center set is drawn once at construction: each vertex becomes
     a center with probability min(1, coeff * log2(n) / threshold). Every
@@ -39,11 +41,12 @@ class StarInstance:
     Relabeling is lazy and keeps one invariant: the relabel queue holds
     live edges only, each at most once, and every live edge whose stored
     image is not its endpoints' current representatives is in it. A
-    representative change adds the vertex's incident edges to the queue,
-    a deletion takes its edge out, and each update pops at most the budget
-    of queued edges its caller hands in (math.inf drains the queue in
-    full), newest first, one unit per pop, and points each at its
-    endpoints' current representatives.
+    representative change adds the vertex's incident edges to the queue;
+    an insertion is mapped once, under the representatives its sampler
+    update left, and so is taken out; a deletion takes its edge out. Each
+    update pops at most the budget of queued edges its caller hands in
+    (math.inf drains the queue in full), newest first, one unit per pop,
+    and points each at its endpoints' current representatives.
     """
 
     def __init__(
@@ -115,35 +118,33 @@ class StarInstance:
 
     # -- updates -------------------------------------------------------------
 
-    def apply_update(self, e: EdgeKey, sign: int,
+    def apply_update(self, key: EdgeKey, sign: int,
                      budget: float) -> list[tuple[EdgeKey, int]]:
         """Apply one edge update; returns net quotient weight deltas.
 
-        sign is +1 for insertion, -1 for deletion, and the caller has
-        already applied it to the graph. The returned list pairs quotient
-        edge keys with the net weight change this update caused, including
-        the queued edges drained from the queue, at most budget of them.
+        key is the edge's canonical key (edge_key order) and sign is +1 for
+        insertion or -1 for deletion; the caller has validated both and has
+        already applied the update to the graph. The instance stores key
+        itself, so instances fed the same key object share it. The returned
+        list pairs quotient edge keys with the net weight change this update
+        caused, including the queued edges drained from the queue, at most
+        budget of them.
         """
-        if sign not in (1, -1):
-            raise ValueError(f"update sign must be +1 or -1, got {sign}")
-        key = edge_key(*e)
         deltas: dict[EdgeKey, int] = {}
-        if sign == 1:
-            pair = (self.representative(key[0]), self.representative(key[1]))
-            self._retarget(key, pair, deltas)
-        else:
-            self._retarget(key, _CLEAR, deltas)
-
         u, v = key
         u_center = u in self.centers
-        v_center = v in self.centers
-        if u_center != v_center:
+        if u_center != (v in self.centers):
             center, other = (u, v) if u_center else (v, u)
             sampler = self._sampler(other)
             changed = sampler.insert(center) if sign == 1 else sampler.remove(center)
             if changed:  # other's edges may now carry a stale name
                 neighbors = self.graph.neighbors(other)
                 self._queue.update(dict.fromkeys(edge_key(other, x) for x in neighbors))
+        if sign == 1:  # mapped under the current representatives, so not stale
+            self._retarget(key, (self.representative(u), self.representative(v)), deltas)
+            self._queue.pop(key, None)
+        else:
+            self._retarget(key, _CLEAR, deltas)
         if self._queue:
             self._drain(budget, deltas)
         return [(c, d) for c, d in deltas.items() if d != 0]

@@ -54,8 +54,9 @@ class Engine:
     quotient; in direct mode queries run the static cut on the quotient
     graph itself. Every instance reads the engine's one DynamicGraph and
     keeps no copy of it: an update is applied to that graph once, which
-    rejects duplicate, missing and out-of-range edges before any instance
-    sees them, and then reaches every view once with one relabel budget,
+    rejects duplicate, missing and out-of-range edges and bad signs before
+    any instance sees them, and then reaches every view once with one
+    canonical key object, which the views share, and one relabel budget,
     unbounded in packed mode and relabel_budget(n, delta, budget_coeff) in
     direct mode, delta read only if a view contracts. A query consults only
     the distinct instances at the threshold level just below the current
@@ -164,11 +165,12 @@ class Engine:
     def _level_for_degree(self, degree: int) -> int:
         return degree.bit_length() - 1
 
-    def _evaluate(self) -> tuple[int, StarInstance | None, frozenset[int]]:
+    def _evaluate(self) -> tuple[int, StarInstance | None, frozenset[int] | None]:
         """The answer with the instance and quotient side it was read from;
-        the minimum degree answer has no instance and its vertex as side."""
+        the minimum degree answer has neither (its side is found on demand:
+        a value query never needs it)."""
         degree = self.graph.min_degree()
-        best, source, side = degree, None, frozenset([self.graph.min_degree_vertex()])
+        best, source, side = degree, None, None
         if degree == 0:
             return best, source, side
         level = self._level_for_degree(degree)
@@ -202,7 +204,9 @@ class Engine:
         # Either answer names a side of the input graph and the witness is
         # the input edges crossing it; a complete instance's quotient is the
         # contraction under its current representatives.
-        if source is not None:
+        if source is None:
+            side = frozenset([self.graph.min_degree_vertex()])
+        else:
             rep = source.representative
             side = frozenset(v for v in range(self.n) if rep(v) in side)
         edges = frozenset(

@@ -2,14 +2,9 @@
 
 from __future__ import annotations
 
-import heapq
 from typing import Iterable, Iterator
 
 EdgeKey = tuple[int, int]
-
-# DynamicGraph rebuilds its min-degree heap from the live degrees once the
-# heap holds more than this many entries per vertex.
-_HEAP_SLACK = 4
 
 
 class GraphError(Exception):
@@ -39,8 +34,9 @@ class DynamicGraph:
     """Simple undirected graph on the fixed vertex set [0, n).
 
     Supports edge insertion/deletion with hard errors on duplicates and
-    absences, and tracks the global minimum degree with a deterministic
-    argmin (ties broken by smallest vertex id).
+    absences, and tracks the global minimum degree in O(1) per update from
+    the number of vertices of each degree. The argmin is deterministic
+    (ties broken by smallest vertex id) and is found by a scan on demand.
     """
 
     def __init__(self, n: int) -> None:
@@ -48,23 +44,12 @@ class DynamicGraph:
             raise ValueError("vertex count must be positive")
         self.n = n
         self._adj: list[set[int]] = [set() for _ in range(n)]
-        # Lazy heap of (degree, vertex); entries are stale once the vertex
-        # degree moves on. Cleaned on peek, and rebuilt from the live
-        # degrees when stale entries pile up.
-        self._heap: list[tuple[int, int]] = []
-        self._rebuild_heap()
+        # _count[d] is the number of vertices of degree d; _min is the
+        # smallest d with _count[d] > 0
+        self._count = [0] * n
+        self._count[0] = n
+        self._min = 0
         self._edge_count = 0
-
-    def _rebuild_heap(self) -> None:
-        self._heap = [(len(adj), v) for v, adj in enumerate(self._adj)]
-        heapq.heapify(self._heap)
-
-    def _push_degrees(self, u: int, v: int) -> None:
-        heap = self._heap
-        heapq.heappush(heap, (len(self._adj[u]), u))
-        heapq.heappush(heap, (len(self._adj[v]), v))
-        if len(heap) > _HEAP_SLACK * self.n:
-            self._rebuild_heap()
 
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < self.n:
@@ -79,7 +64,13 @@ class DynamicGraph:
         self._adj[u].add(v)
         self._adj[v].add(u)
         self._edge_count += 1
-        self._push_degrees(u, v)
+        count = self._count
+        for x in (u, v):
+            d = len(self._adj[x])
+            count[d - 1] -= 1
+            count[d] += 1
+            if count[self._min] == 0:  # x was the last of degree _min
+                self._min += 1
 
     def delete_edge(self, e: EdgeKey) -> None:
         u, v = edge_key(*e)
@@ -90,7 +81,13 @@ class DynamicGraph:
         self._adj[u].discard(v)
         self._adj[v].discard(u)
         self._edge_count -= 1
-        self._push_degrees(u, v)
+        count = self._count
+        for x in (u, v):
+            d = len(self._adj[x])
+            count[d + 1] -= 1
+            count[d] += 1
+            if d < self._min:
+                self._min = d
 
     def neighbors(self, v: int) -> set[int]:
         """Live neighbor set of v; callers must not mutate it."""
@@ -101,19 +98,13 @@ class DynamicGraph:
         self._check_vertex(v)
         return len(self._adj[v])
 
-    def _min_entry(self) -> tuple[int, int]:
-        while True:
-            deg, v = self._heap[0]
-            if len(self._adj[v]) == deg:
-                return deg, v
-            heapq.heappop(self._heap)
-
     def min_degree(self) -> int:
-        return self._min_entry()[0]
+        return self._min
 
     def min_degree_vertex(self) -> int:
         """Smallest-id vertex of minimum degree."""
-        return self._min_entry()[1]
+        m = self._min
+        return next(v for v, adj in enumerate(self._adj) if len(adj) == m)
 
     def edges(self) -> Iterator[EdgeKey]:
         for u in range(self.n):

@@ -8,16 +8,17 @@ import random
 class StableSampler:
     """Maintains a uniformly random element of a changing set.
 
-    Every element receives a random 64-bit priority when inserted and the
-    current sample is the minimum-priority element. Because priorities are
-    distinct and exchangeable, an insert or delete changes the sample with
-    probability exactly 1/|set| (taken after the insert, before the delete),
-    and the sample is uniform at every point in time.
+    Every element receives one random 64-bit priority when inserted and the
+    current sample is the minimum-priority element; of equal priorities the
+    earlier insert wins. Because priorities are exchangeable and two of them
+    tie with probability 2^-64, an insert or delete changes the sample with
+    probability 1/|set| (taken after the insert, before the delete) up to
+    that tie chance, and the sample is uniform up to the same margin.
 
-    Insert redraws a priority that a live element holds, in O(|set|).
-    Removing the current element rescans the rest in O(|set|); that happens
-    only when the sample changes, and then the caller relabels every edge of
-    the sampling vertex, which costs at least as much.
+    Insert is O(1). Removing the current element rescans the rest in
+    O(|set|); that happens only when the sample changes, and then the
+    caller relabels every edge of the sampling vertex, which costs at least
+    as much.
     """
 
     def __init__(self, rng: random.Random) -> None:
@@ -39,10 +40,7 @@ class StableSampler:
         """Add x; returns True iff the current sample changed."""
         if x in self._priority:
             raise ValueError(f"element {x} already present")
-        p = self._rng.getrandbits(64)
-        while p in self._priority.values():  # keep priorities distinct
-            p = self._rng.getrandbits(64)
-        self._priority[x] = p
+        p = self._priority[x] = self._rng.getrandbits(64)
         if self._current is None or p < self._priority[self._current]:
             self._current = x
             return True

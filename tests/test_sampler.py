@@ -102,10 +102,7 @@ def test_matches_seeded_shadow():
             del shadow[x]
             assert s.remove(x) is was_min
         else:
-            p = draws.getrandbits(64)
-            while p in shadow.values():
-                p = draws.getrandbits(64)
-            shadow[x] = p
+            shadow[x] = draws.getrandbits(64)
             assert s.insert(x) is (shadow_min() == x)
         assert s.current() == shadow_min()
         assert len(s) == len(shadow)
@@ -123,20 +120,22 @@ class _ScriptedRng:
         return next(self._values)
 
 
-def test_insert_redraws_a_live_priority():
-    # "c" first draws the live priorities of "a" and "b", then a fresh one
-    rng = _ScriptedRng([5, 9, 5, 9, 7, 5])
+def test_tied_priorities_keep_the_earlier_insert():
+    # one draw per insert, even when it ties a live priority; of equal
+    # priorities the earlier insert stays current, and removing it promotes
+    # the earliest remaining minimum
+    rng = _ScriptedRng([5, 9, 5, 5])
     s = StableSampler(rng)
-    s.insert("a")
-    s.insert("b")
+    assert s.insert("a") is True
+    assert s.insert("b") is False
     assert s.insert("c") is False
-    assert rng.draws == 5
-    assert s._priority == {"a": 5, "b": 9, "c": 7}
-    # a removed element's priority is free again: no redraw
-    s.remove("a")
-    assert s.insert("d") is True
-    assert rng.draws == 6
-    assert s._priority == {"b": 9, "c": 7, "d": 5}
+    assert s.insert("d") is False
+    assert rng.draws == 4
+    assert s._priority == {"a": 5, "b": 9, "c": 5, "d": 5}
+    assert s.current() == "a"
+    assert s.remove("a") is True
+    assert s.current() == "c"
+    assert s.remove("c") is True
     assert s.current() == "d"
 
 
