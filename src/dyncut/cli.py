@@ -25,9 +25,6 @@ from .streams import (
     render_stream,
 )
 
-STOER_WAGNER_LIMIT = 64
-
-
 def _read_stream(path: str) -> UpdateStream:
     if path == "-":
         return parse_stream(sys.stdin.read())
@@ -142,6 +139,8 @@ def _new_engine(n: int, config: EngineConfig) -> Engine:
 
 
 def _oracle_for(name: str, n: int):
+    if n < 2:  # neither oracle has a cut to check on one vertex
+        raise UsageError(f"verify needs at least two vertices, got {n}")
     if name == "brute" or (name == "auto" and n <= BRUTE_FORCE_LIMIT - 4):
         if n > BRUTE_FORCE_LIMIT:
             raise UsageError(
@@ -149,10 +148,6 @@ def _oracle_for(name: str, n: int):
                 " rerun with --oracle stoer"
             )
         return brute_force_mincut
-    if n > STOER_WAGNER_LIMIT:
-        raise UsageError(
-            f"verification oracle limited to {STOER_WAGNER_LIMIT} vertices"
-        )
     return stoer_wagner
 
 

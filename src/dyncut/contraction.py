@@ -102,8 +102,8 @@ class StarInstance:
         return self._contracted
 
     def preimage_of(self, c: EdgeKey) -> frozenset[EdgeKey]:
-        """Live edges whose stored image is the quotient edge c."""
-        c = edge_key(*c)
+        """Live edges whose stored image is the quotient edge c, named by
+        its canonical key."""
         return frozenset(f for f, pair in self._image.items() if pair in (c, c[::-1]))
 
     def is_complete(self) -> bool:

@@ -34,9 +34,12 @@ class DynamicGraph:
     """Simple undirected graph on the fixed vertex set [0, n).
 
     Supports edge insertion/deletion with hard errors on duplicates and
-    absences, and tracks the global minimum degree in O(1) per update from
-    the number of vertices of each degree. The argmin is deterministic
-    (ties broken by smallest vertex id) and is found by a scan on demand.
+    absences. Callers name an edge by its canonical key (edge_key order); a
+    pair that is not one (reversed, a self-loop or out of range) raises
+    ValueError before anything changes. The graph tracks the global minimum
+    degree in O(1) per update from the number of vertices of each degree.
+    The argmin is deterministic (ties broken by smallest vertex id) and is
+    found by a scan on demand.
     """
 
     def __init__(self, n: int) -> None:
@@ -56,9 +59,9 @@ class DynamicGraph:
             raise ValueError(f"vertex {v} out of range [0, {self.n})")
 
     def insert_edge(self, e: EdgeKey) -> None:
-        u, v = edge_key(*e)
-        self._check_vertex(u)
-        self._check_vertex(v)
+        u, v = e
+        if not 0 <= u < v < self.n:
+            raise ValueError(f"edge {e} is not a canonical pair in [0, {self.n})")
         if v in self._adj[u]:
             raise DuplicateEdgeError(f"edge {e} already present")
         self._adj[u].add(v)
@@ -73,9 +76,9 @@ class DynamicGraph:
                 self._min += 1
 
     def delete_edge(self, e: EdgeKey) -> None:
-        u, v = edge_key(*e)
-        self._check_vertex(u)
-        self._check_vertex(v)
+        u, v = e
+        if not 0 <= u < v < self.n:
+            raise ValueError(f"edge {e} is not a canonical pair in [0, {self.n})")
         if v not in self._adj[u]:
             raise MissingEdgeError(f"edge {e} not present")
         self._adj[u].discard(v)
@@ -122,7 +125,8 @@ class WeightedGraph:
 
     The vertex set is explicit so isolated vertices survive; edge endpoints
     are added to it automatically. A weight reaching zero removes the edge,
-    and a weight going negative is a hard error.
+    and a weight going negative is a hard error. Edges are named by their
+    canonical keys (edge_key order), taken as given.
     """
 
     def __init__(self, vertices: Iterable[int] = ()) -> None:
@@ -130,19 +134,18 @@ class WeightedGraph:
         self._w: dict[EdgeKey, int] = {}
 
     def add_weight(self, e: EdgeKey, delta: int) -> None:
-        key = edge_key(*e)
-        w = self._w.get(key, 0) + delta
+        w = self._w.get(e, 0) + delta
         if w < 0:
-            raise WeightError(f"weight of {key} would become {w}")
+            raise WeightError(f"weight of {e} would become {w}")
         if w == 0:
-            self._w.pop(key, None)
+            self._w.pop(e, None)
         else:
-            self._w[key] = w
-            self.vertices.add(key[0])
-            self.vertices.add(key[1])
+            self._w[e] = w
+            self.vertices.add(e[0])
+            self.vertices.add(e[1])
 
     def weight(self, e: EdgeKey) -> int:
-        return self._w.get(edge_key(*e), 0)
+        return self._w.get(e, 0)
 
     def edges(self) -> Iterator[tuple[EdgeKey, int]]:
         yield from self._w.items()

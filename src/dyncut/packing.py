@@ -6,7 +6,7 @@ from itertools import count
 from typing import Iterable
 
 from .forest import DynamicForest
-from .graph_core import EdgeKey, WeightedGraph, WeightError, edge_key
+from .graph_core import EdgeKey, WeightedGraph, WeightError
 
 
 class ForestPacking:
@@ -36,6 +36,9 @@ class ForestPacking:
     the deepest used copy when no free copy exists; the replacement edge
     pulled into that forest consumes one of its own copies, which cascades
     strictly deeper, at most once per level.
+
+    Edges are named by their canonical keys (edge_key order), taken as
+    given: the caller makes each key once.
     """
 
     def __init__(self, depth: int, n: int, vertices: Iterable[int] | None = None) -> None:
@@ -57,10 +60,10 @@ class ForestPacking:
         self._unions: dict[int, WeightedGraph] = {}
 
     def weight(self, e: EdgeKey) -> int:
-        return self._weight.get(edge_key(*e), 0)
+        return self._weight.get(e, 0)
 
     def used_levels(self, e: EdgeKey) -> frozenset[int]:
-        return frozenset(self._usage.get(edge_key(*e), ()))
+        return frozenset(self._usage.get(e, ()))
 
     def level_forest(self, i: int) -> set[EdgeKey]:
         return set(self._levels[i].tree_edges())
@@ -91,26 +94,23 @@ class ForestPacking:
 
     def apply_delta(self, e: EdgeKey, delta: int) -> None:
         """Shift weight(e) by delta, decomposed into unit changes."""
-        key = edge_key(*e)
-        if self._weight.get(key, 0) + delta < 0:
-            raise WeightError(f"weight of {key} would become negative")
+        if self._weight.get(e, 0) + delta < 0:
+            raise WeightError(f"weight of {e} would become negative")
         for _ in range(delta):
-            self.increment(key)
+            self.increment(e)
         for _ in range(-delta):
-            self.decrement(key)
+            self.decrement(e)
 
     def increment(self, e: EdgeKey) -> None:
-        key = edge_key(*e)
-        self._weight[key] = self._weight.get(key, 0) + 1
-        self._settle(key)
+        self._weight[e] = self._weight.get(e, 0) + 1
+        self._settle(e)
 
     def decrement(self, e: EdgeKey) -> None:
-        key = edge_key(*e)
-        w = self._weight.get(key, 0)
+        w = self._weight.get(e, 0)
         if w == 0:
-            raise WeightError(f"edge {key} has no weight to remove")
-        self._weight[key] = w - 1
-        self._settle(key)
+            raise WeightError(f"edge {e} has no weight to remove")
+        self._weight[e] = w - 1
+        self._settle(e)
 
     # -- internal machinery -------------------------------------------------
 

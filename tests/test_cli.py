@@ -142,6 +142,24 @@ def test_verify_brute_size_guard(tmp_path, capsys):
     assert "--oracle stoer" in err
 
 
+def test_verify_one_vertex_exit_two(tmp_path, capsys):
+    # no oracle has a cut to check on one vertex
+    path = tmp_path / "one.txt"
+    path.write_text("n 1\n?\n")
+    code, out, err = _run(capsys, "verify", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("dyncut: ") and "two vertices" in err
+
+
+def test_verify_stoer_has_no_size_limit(tmp_path, capsys):
+    path = tmp_path / "wide.txt"
+    path.write_text("n 70\n+ 0 1\n?\n")
+    code, out, _ = _run(capsys, "verify", str(path))
+    assert code == 0
+    assert "checked 1 queries, 0 mismatches" in out
+
+
 def test_verify_cut_queries(tmp_path, capsys):
     path = tmp_path / "q.txt"
     _run(capsys, "gen", "--n", "10", "--steps", "60", "--seed", "4",

@@ -104,6 +104,22 @@ def test_endpoint_bounds_checked():
         g.insert_edge((0, 3))
 
 
+@pytest.mark.parametrize("update, e", [
+    ("insert_edge", (2, 1)),  # reversed: callers pass canonical keys
+    ("delete_edge", (2, 1)),
+    ("insert_edge", (1, 1)),
+    ("insert_edge", (0, 4)),
+])
+def test_non_canonical_key_rejected_without_change(update, e):
+    g = DynamicGraph(4)
+    for f in [(0, 1), (1, 2), (0, 2)]:
+        g.insert_edge(f)
+    before = ([g.degree(v) for v in range(4)], g.min_degree(), g.edge_count)
+    with pytest.raises(ValueError):
+        getattr(g, update)(e)
+    assert ([g.degree(v) for v in range(4)], g.min_degree(), g.edge_count) == before
+
+
 def test_weighted_add_and_remove():
     w = WeightedGraph()
     w.add_weight((0, 1), 1)

@@ -322,8 +322,8 @@ def _rebuilt(rng: random.Random, g: WeightedGraph) -> WeightedGraph:
     steps = [e for e, w in g.edges() for _ in range(w)]
     rng.shuffle(steps)
     out = WeightedGraph(verts)
-    for u, v in steps:
-        out.add_weight((v, u) if rng.random() < 0.5 else (u, v), 1)
+    for e in steps:
+        out.add_weight(e, 1)
     return out
 
 
