@@ -5,13 +5,11 @@ from __future__ import annotations
 import math
 import random
 
-from .graph_core import DynamicGraph, EdgeKey, WeightedGraph, edge_key
+from .graph_core import DynamicGraph, EdgeKey, WeightedGraph
 from .sampling import StableSampler
 
 DEFAULT_CENTER_COEFF = 800.0
 DEFAULT_BUDGET_COEFF = 1.0
-
-_CLEAR = object()
 
 
 def relabel_budget(n: int, min_degree: int, coeff: float = DEFAULT_BUDGET_COEFF) -> int:
@@ -25,28 +23,30 @@ class StarInstance:
 
     The instance reads the caller's DynamicGraph and never changes it: the
     caller validates each edge update and applies it to that graph first,
-    then passes the edge's canonical key to apply_update, which stores that
-    key object as is. Any number of instances can read one graph, and
-    instances fed the same key object keep one tuple per edge between them.
+    then passes the edge's canonical key to apply_update. Any number of
+    instances can read one graph.
 
     A random center set is drawn once at construction: each vertex becomes
     a center with probability min(1, coeff * log2(n) / threshold). Every
     non-center tracks its center neighbors in a StableSampler and is merged
     into the sampled one; centers represent themselves. The instance keeps
-    the resulting weighted quotient graph incrementally: each live edge
-    stores the pair of endpoint representatives under which it is counted
-    (the stored image is authoritative, weights always aggregate the stored
-    images); a quotient edge's preimage is read from the images on demand.
+    the resulting weighted quotient graph incrementally: every live edge is
+    counted, in the quotient weights or in the unmapped counter, under one
+    pair of endpoint representatives, and a quotient edge's preimage is
+    read from those pairs on demand.
 
-    Relabeling is lazy and keeps one invariant: the relabel queue holds
-    live edges only, each at most once, and every live edge whose stored
-    image is not its endpoints' current representatives is in it. A
-    representative change adds the vertex's incident edges to the queue;
-    an insertion is mapped once, under the representatives its sampler
-    update left, and so is taken out; a deletion takes its edge out. Each
-    update pops at most the budget of queued edges its caller hands in
-    (math.inf drains the queue in full), newest first, one unit per pop,
-    and points each at its endpoints' current representatives.
+    Relabeling is lazy and keeps one invariant: an edge outside the
+    relabel queue is counted under its endpoints' current representatives,
+    and the queue maps every other live edge to the pair it is still
+    counted under, so only stale edges store a pair. A representative
+    change queues the vertex's unqueued edges under the representative it
+    had before; an insertion is counted once, under the representatives
+    its sampler update left, and so is taken out; a deletion is uncounted
+    under its queued pair, or else the representatives before its sampler
+    update, and taken out. Each update pops at most the budget of queued
+    edges its caller hands in (math.inf drains the queue in full), newest
+    first, one unit per pop, and moves each one's count to its endpoints'
+    current representatives.
     """
 
     def __init__(
@@ -70,16 +70,13 @@ class StarInstance:
             )
         self.centers = centers
         self._samplers: dict[int, StableSampler] = {}
-        # image: per live edge, the representative pair aligned with the
-        # canonical endpoint order; a None side means the endpoint has no
-        # representative and the edge is unmapped.
-        self._image: dict[EdgeKey, tuple[int | None, int | None]] = {}
         self._contracted = WeightedGraph(self.centers)
         self._unmapped = 0
-        # live edges whose stored image may be stale, as an insertion-ordered
-        # set; no answer depends on the order, since a view with a queue is
-        # never read
-        self._queue: dict[EdgeKey, None] = {}
+        # stale live edges, insertion-ordered, each with the pair it is
+        # counted under, aligned with the canonical endpoint order (a None
+        # side has no representative: the edge counts as unmapped); no
+        # answer depends on the order, since a view with a queue is never read
+        self._queue: dict[EdgeKey, tuple[int | None, int | None]] = {}
 
     # -- representatives ----------------------------------------------------
 
@@ -102,9 +99,14 @@ class StarInstance:
         return self._contracted
 
     def preimage_of(self, c: EdgeKey) -> frozenset[EdgeKey]:
-        """Live edges whose stored image is the quotient edge c, named by
-        its canonical key."""
-        return frozenset(f for f, pair in self._image.items() if pair in (c, c[::-1]))
+        """Live edges counted under the quotient edge c, named by its
+        canonical key: a queued edge under its queued pair, any other under
+        its endpoints' current representatives."""
+        queue, rep = self._queue, self.representative
+        return frozenset(
+            f for f in self.graph.edges()
+            if (queue.get(f) or (rep(f[0]), rep(f[1]))) in (c, c[::-1])
+        )
 
     def is_complete(self) -> bool:
         """True when every live edge is mapped and no edge is queued."""
@@ -124,60 +126,56 @@ class StarInstance:
 
         key is the edge's canonical key (edge_key order) and sign is +1 for
         insertion or -1 for deletion; the caller has validated both and has
-        already applied the update to the graph. The instance stores key
-        itself, so instances fed the same key object share it. The returned
-        list pairs quotient edge keys with the net weight change this update
-        caused, including the queued edges drained from the queue, at most
-        budget of them.
+        already applied the update to the graph. The returned list pairs
+        quotient edge keys with the net weight change this update caused,
+        including the queued edges drained from the queue, at most budget
+        of them.
         """
         deltas: dict[EdgeKey, int] = {}
+        queue, rep = self._queue, self.representative
         u, v = key
+        if sign == -1:  # read before the sampler update below moves a rep
+            counted = queue.pop(key, None) or (rep(u), rep(v))
         u_center = u in self.centers
         if u_center != (v in self.centers):
             center, other = (u, v) if u_center else (v, u)
             sampler = self._sampler(other)
+            before = sampler.current()
             changed = sampler.insert(center) if sign == 1 else sampler.remove(center)
-            if changed:  # other's edges may now carry a stale name
-                neighbors = self.graph.neighbors(other)
-                self._queue.update(dict.fromkeys(edge_key(other, x) for x in neighbors))
-        if sign == 1:  # mapped under the current representatives, so not stale
-            self._retarget(key, (self.representative(u), self.representative(v)), deltas)
-            self._queue.pop(key, None)
+            if changed:  # other's unqueued edges are still counted under before
+                for x in self.graph.neighbors(other):
+                    f = (other, x) if other < x else (x, other)
+                    if f not in queue:
+                        r = rep(x)
+                        queue[f] = (before, r) if other < x else (r, before)
+        if sign == 1:  # the fill may have queued it, but it was never counted
+            queue.pop(key, None)
+            self._retarget(None, (rep(u), rep(v)), deltas)
         else:
-            self._retarget(key, _CLEAR, deltas)
-        if self._queue:
+            self._retarget(counted, None, deltas)
+        if queue:
             self._drain(budget, deltas)
         return [(c, d) for c, d in deltas.items() if d != 0]
 
     def _drain(self, budget: float, deltas: dict[EdgeKey, int]) -> None:
-        queue, image, rep = self._queue, self._image, self.representative
+        queue, rep = self._queue, self.representative
         while budget > 0 and queue:
-            f, _ = queue.popitem()
+            f, old = queue.popitem()
             budget -= 1
-            pair = (rep(f[0]), rep(f[1]))
-            if pair != image[f]:
-                self._retarget(f, pair, deltas)
+            new = (rep(f[0]), rep(f[1]))
+            if new != old:
+                self._retarget(old, new, deltas)
 
-    def _retarget(self, f: EdgeKey, pair, deltas: dict[EdgeKey, int]) -> None:
-        """Point edge f at a new representative pair, keeping the quotient
-        weights and the unmapped counter aligned."""
-        old = self._image.get(f)
-        if old is not None:
-            if old[0] is None or old[1] is None:
-                self._unmapped -= 1
-            elif old[0] != old[1]:
-                c = edge_key(old[0], old[1])
-                self._contracted.add_weight(c, -1)
-                deltas[c] = deltas.get(c, 0) - 1
-        if pair is _CLEAR:
-            if old is not None:
-                del self._image[f]
-            self._queue.pop(f, None)
-            return
-        self._image[f] = pair
-        if pair[0] is None or pair[1] is None:
-            self._unmapped += 1
-        elif pair[0] != pair[1]:
-            c = edge_key(pair[0], pair[1])
-            self._contracted.add_weight(c, 1)
-            deltas[c] = deltas.get(c, 0) + 1
+    def _retarget(self, old, new, deltas: dict[EdgeKey, int]) -> None:
+        """Move one edge's count from pair old to pair new (None: not
+        counted), keeping the quotient weights and unmapped counter aligned."""
+        for pair, d in ((old, -1), (new, 1)):
+            if pair is None:
+                continue
+            a, b = pair
+            if a is None or b is None:
+                self._unmapped += d
+            elif a != b:
+                c = (a, b) if a < b else (b, a)
+                self._contracted.add_weight(c, d)
+                deltas[c] = deltas.get(c, 0) + d

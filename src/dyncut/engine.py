@@ -56,13 +56,14 @@ class Engine:
     keeps no copy of it: an update is applied to that graph once, which
     rejects duplicate, missing and out-of-range edges and bad signs before
     any instance sees them, and then reaches every view once with one
-    canonical key object, which the views share, and one relabel budget,
-    unbounded in packed mode and relabel_budget(n, delta, budget_coeff) in
-    direct mode, delta read only if a view contracts. A query consults only
-    the distinct instances at the threshold level just below the current
-    minimum degree, skips incomplete ones, and never answers below the true
-    cut value; the minimum degree is an always-valid fallback. Statistics
-    beyond the update and query counts are read from the views on demand.
+    canonical key and one relabel budget, unbounded in packed mode and
+    relabel_budget(n, delta, budget_coeff) in direct mode, delta read only
+    if a view contracts; a view stores a key and a pair per queued edge
+    only. A query consults only the distinct instances at the threshold
+    level just below the current minimum degree, skips incomplete ones, and
+    never answers below the true cut value; the minimum degree is an
+    always-valid fallback. Statistics beyond the update and query counts
+    are read from the views on demand.
     A simple graph's minimum degree is at most n - 1, so every level built
     is one a query can read (there are none at n = 1).
     """

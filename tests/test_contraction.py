@@ -55,27 +55,34 @@ def _recontract(inst: StarInstance) -> WeightedGraph:
 
 
 def _scan_consistency(inst: StarInstance) -> None:
-    # weight(c) == |preimage(c)| for every contracted key
+    # the relabel invariant: the queue holds live edges only, and every live
+    # edge is counted under its queued pair or, outside the queue, under its
+    # endpoints' current representatives, so rebuilding the quotient weights
+    # and the unmapped count from those pairs gives the maintained ones
+    live = set(inst.graph.edges())
+    assert set(inst._queue) <= live
+    rebuilt = WeightedGraph(inst.centers)
+    unmapped = 0
+    for u, v in live:
+        pair = inst._queue.get((u, v)) or (inst.representative(u), inst.representative(v))
+        if None in pair:
+            unmapped += 1
+        elif pair[0] != pair[1]:
+            rebuilt.add_weight(edge_key(*pair), 1)
     contracted = inst.contracted_graph()
+    assert contracted == rebuilt
+    assert inst._unmapped == unmapped
+    # weight(c) == |preimage(c)| for every contracted key
     for c, w in contracted.edges():
         assert w == len(inst.preimage_of(c)), c
-    # the mapped, non-loop images are the preimages of all center pairs:
+    # the mapped, non-loop pairs are the preimages of all center pairs:
     # distinct live edges, as many as the total quotient weight
     mapped = [
         f for c in combinations(sorted(inst.centers), 2) for f in inst.preimage_of(c)
     ]
     assert len(set(mapped)) == len(mapped)
-    assert set(mapped) <= set(inst.graph.edges())
+    assert set(mapped) <= live
     assert contracted.total_weight() == len(mapped)
-    # the relabel invariant: the queue holds live edges only, every live
-    # edge has an image, and one that differs from its endpoints' current
-    # representatives is queued
-    queued = set(inst._queue)
-    assert queued <= set(inst.graph.edges())
-    assert inst._image.keys() == set(inst.graph.edges())
-    for u, v in inst.graph.edges():
-        pair = (inst.representative(u), inst.representative(v))
-        assert inst._image[u, v] == pair or (u, v) in queued, (u, v)
 
 
 def test_probability_clamps_to_one():
