@@ -297,7 +297,13 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("stream")
     _add_engine_flags(verify)
     verify.add_argument("--oracle", choices=("auto", "brute", "stoer"),
-                        default="auto")
+                        default="auto",
+                        help="brute enumerates every bipartition (at most"
+                        f" {BRUTE_FORCE_LIMIT} vertices) and checks the engine"
+                        " independently; stoer is the engine's own static cut,"
+                        " so it checks the views but not that cut; auto picks"
+                        f" brute up to {BRUTE_FORCE_LIMIT - 4} vertices"
+                        " (default: auto)")
     verify.set_defaults(func=cmd_verify)
 
     bench = sub.add_parser("bench", help="time updates and queries across sizes")

@@ -382,3 +382,190 @@ def test_property_matches_enumeration(n, edges, unit):
     cut = stoer_wagner(g)
     assert cut.value == brute_force_mincut(g).value
     _assert_consistent(g, cut)
+
+
+# -- the capped ordering: keys capped at the bound, held in a bucket queue --
+
+
+def _check_against_oracles(g: WeightedGraph, name: str) -> None:
+    cut = stoer_wagner(g)
+    assert cut.value == brute_force_mincut(g).value, name
+    assert cut.value == _flow_mincut_value(g), name
+    _assert_consistent(g, cut)
+
+
+def _heavy_cliques(rng: random.Random, sizes: list[int], max_w: int,
+                   bridges: int) -> WeightedGraph:
+    # cliques with weights up to max_w whose attachments climb far above
+    # the bound, chained by unit bridges with random endpoints
+    g = WeightedGraph()
+    base = 0
+    blocks = []
+    for size in sizes:
+        block = list(range(base, base + size))
+        for i, u in enumerate(block):
+            for v in block[i + 1:]:
+                g.add_weight((u, v), rng.randint(1, max_w))
+        blocks.append(block)
+        base += size
+    for a, b in zip(blocks, blocks[1:]):
+        for _ in range(bridges):
+            g.add_weight(edge_key(rng.choice(a), rng.choice(b)), 1)
+    return g
+
+
+def test_capped_attachments_far_above_the_bound():
+    rng = random.Random(1810)
+    for trial in range(60):
+        sizes = [rng.randint(3, 6) for _ in range(rng.randint(2, 3))]
+        g = _heavy_cliques(rng, sizes, rng.choice([5, 10]), rng.randint(1, 3))
+        _check_against_oracles(g, f"trial {trial}")
+
+
+def test_bound_drops_inside_a_phase():
+    # the first phase starts with the bound at the minimum degree (at least
+    # 50); once it has taken the start's clique the prefix cut drops the
+    # bound to the bridge weight, and the other clique's vertices then
+    # gather keys between that bound and the phase's cap
+    for bridges in ((1, 6), (1, 6, 2, 7), (0, 6, 0, 7, 5, 11)):
+        g = WeightedGraph()
+        for base in (0, 6):
+            for u in range(base, base + 6):
+                for v in range(u + 1, base + 6):
+                    g.add_weight((u, v), 10)
+        for u, v in zip(bridges[::2], bridges[1::2]):
+            g.add_weight((u, v), 1)
+        _check_against_oracles(g, str(bridges))
+        cut = stoer_wagner(g)
+        assert cut.value == len(bridges) // 2
+        assert cut.side == frozenset(range(6))
+    rng = random.Random(2018)
+    for trial in range(40):
+        g = _heavy_cliques(rng, [rng.randint(4, 6), rng.randint(4, 6)], 10,
+                           rng.randint(1, 4))
+        # a light pendant on vertex 0 sets the first cap, often below the
+        # clique attachments the phase gathers
+        g.add_weight((0, max(g.vertices) + 1), rng.randint(1, 9))
+        _check_against_oracles(g, f"trial {trial}")
+
+
+def test_bounds_of_one_and_zero():
+    rng = random.Random(10)
+    for trial in range(40):
+        n = rng.randint(2, 14)
+        # a random tree: every edge is a cut of value 1, so every cap is 1
+        tree = WeightedGraph(range(n))
+        for v in range(1, n):
+            tree.add_weight((rng.randrange(v), v), 1)
+        _check_against_oracles(tree, f"tree {trial}")
+        assert stoer_wagner(tree).value == 1
+        # minimum degree 2 or more, one bridge: the bound falls to 1 and
+        # later phases run capped at 1
+        g = _heavy_cliques(rng, [rng.randint(3, 6), rng.randint(3, 6)], 3, 1)
+        _check_against_oracles(g, f"bridge {trial}")
+        assert stoer_wagner(g).value == 1
+        # a second component: the bound falls to 0 inside the first phase
+        split = _heavy_cliques(rng, [rng.randint(2, 5)], 4, 0)
+        offset = max(split.vertices) + 1
+        for (u, v), w in _heavy_cliques(rng, [rng.randint(2, 5)], 4, 0).edges():
+            split.add_weight((u + offset, v + offset), w)
+        _check_against_oracles(split, f"split {trial}")
+        assert stoer_wagner(split).value == 0
+    # an isolated vertex: the bound starts at 0 and no phase runs
+    g = _heavy_cliques(rng, [5], 10, 0)
+    g.vertices.add(9)
+    cut = stoer_wagner(g)
+    assert (cut.value, cut.side, cut.cut_edges) == (0, frozenset({9}), frozenset())
+
+
+def test_ties_at_the_cap_broken_by_id():
+    # weight-10 cliques around a light pendant: the cap is the pendant's
+    # degree, every clique vertex reaches it after one scan, and from then
+    # on only the id rule orders them
+    for size, pendant in ((5, 1), (6, 3), (8, 9)):
+        g = _complete(size)
+        for e, _ in list(g.edges()):
+            g.add_weight(e, 9)
+        g.add_weight((0, size), pendant)
+        _check_against_oracles(g, f"K{size}+{pendant}")
+        assert stoer_wagner(g).side == frozenset({size})
+    # every bridge of a chain of weight-10 cliques is a minimum cut below
+    # the cap, so which one is reported rests on the tie rule alone; it
+    # must not depend on the order the graph was built in
+    rng = random.Random(33)
+    for trial in range(12):
+        g = _heavy_cliques(rng, [rng.randint(3, 5) for _ in range(4)], 10, 2)
+        _check_against_oracles(g, f"chain {trial}")
+        for h in (_sparse_ids(rng, g), g):
+            first = stoer_wagner(h)
+            for _ in range(3):
+                assert stoer_wagner(_rebuilt(rng, h)) == first
+
+
+def _two_clusters(seed: int) -> WeightedGraph:
+    # two 24-vertex clusters on a shuffled split, unit weights on odd seeds
+    rng = random.Random(seed)
+    order = list(range(48))
+    rng.shuffle(order)
+    max_w = 1 if seed % 2 else 4
+    g = WeightedGraph(range(48))
+    for half in (order[:24], order[24:]):
+        for i, u in enumerate(half):
+            for v in half[i + 1:]:
+                if rng.random() < 0.35:
+                    g.add_weight(edge_key(u, v), rng.randint(1, max_w))
+    for _ in range(1 + seed % 4):
+        g.add_weight(edge_key(rng.choice(order[:24]), rng.choice(order[24:])), 1)
+    return g
+
+
+def _three_clusters(seed: int) -> WeightedGraph:
+    # a chain of three 16-vertex clusters whose two bridge sets tie, so the
+    # side reported depends on the ordering's tie rule
+    rng = random.Random(seed)
+    order = list(range(48))
+    rng.shuffle(order)
+    parts = (order[:16], order[16:32], order[32:])
+    g = WeightedGraph(range(48))
+    for part in parts:
+        for i, u in enumerate(part):
+            for v in part[i + 1:]:
+                if rng.random() < 0.5:
+                    g.add_weight(edge_key(u, v), 1)
+    k = 1 + seed % 3
+    for a, b in ((parts[0], parts[1]), (parts[1], parts[2])):
+        for u, v in zip(rng.sample(a, k), rng.sample(b, k)):
+            g.add_weight(edge_key(u, v), 1)
+    return g
+
+
+# recorded from the uncapped heap ordering; a change of side here changes
+# the witnesses `dyncut run --report-edges` prints. On the three-cluster
+# seeds 2, 8 and 13 a tie rule of largest id first reports the other end
+# cluster, and a cap at half the bound loses the cut of two-cluster seed 33
+_PINNED = [
+    (_two_clusters, 1, 2, (0, 1, 3, 4, 6, 7, 8, 10, 13, 16, 18, 23, 24, 25,
+                           27, 28, 30, 31, 36, 39, 41, 42, 43, 47)),
+    (_two_clusters, 3, 4, (6,)),
+    (_two_clusters, 4, 1, (0, 1, 3, 4, 5, 6, 8, 9, 14, 15, 17, 18, 19, 23,
+                           24, 25, 26, 30, 33, 35, 37, 41, 44, 45)),
+    (_two_clusters, 33, 2, (0, 2, 3, 5, 6, 7, 8, 12, 19, 21, 22, 24, 25, 26,
+                            27, 29, 31, 35, 37, 38, 43, 44, 46, 47)),
+    (_three_clusters, 2, 3, (2, 3, 5, 10, 13, 16, 19, 23, 25, 27, 32, 38,
+                             42, 43, 44, 46)),
+    (_three_clusters, 5, 3, (19,)),
+    (_three_clusters, 8, 3, (1, 2, 5, 8, 12, 13, 14, 15, 23, 24, 25, 29, 31,
+                             32, 34, 44)),
+    (_three_clusters, 13, 2, (3, 5, 6, 10, 12, 15, 17, 20, 23, 28, 29, 31,
+                              32, 33, 40, 47)),
+]
+
+
+@pytest.mark.parametrize("make,seed,value,side", _PINNED,
+                         ids=[f"{m.__name__[1:]}-{s}" for m, s, _, _ in _PINNED])
+def test_pinned_answers_on_48_vertex_cluster_graphs(make, seed, value, side):
+    g = make(seed)
+    cut = stoer_wagner(g)
+    assert cut.value == value == _flow_mincut_value(g)
+    assert cut.side == frozenset(side)
+    _assert_consistent(g, cut)
