@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import statistics
 import sys
 import time
@@ -20,6 +21,7 @@ from .streams import (
     StreamFormatError,
     UpdateStream,
     dense_regular_degree,
+    dense_regular_warmup,
     generate_stream,
     parse_stream,
     render_stream,
@@ -223,6 +225,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
     _check_stream_flags(args, sizes, steps=1, reps=1)
     print("n mode mean_update_us median_update_us mean_query_ms")
     for n in sizes:
+        if args.model == "dense-regular":
+            warmup = dense_regular_warmup(n, dense_regular_degree(n, args.degree))
+            if warmup > args.steps:
+                print(f"# n={n} warm-up {warmup} > --steps {args.steps}: every"
+                      " timed update is a warm-up insertion", file=sys.stderr)
         update_times: list[float] = []
         query_times: list[float] = []
         for rep in range(args.reps):
@@ -264,7 +271,9 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cp", type=float, default=DEFAULT_CENTER_COEFF,
                         help="center sampling coefficient")
     parser.add_argument("--cb", type=float, default=DEFAULT_BUDGET_COEFF,
-                        help="relabel budget coefficient")
+                        help="relabel budget coefficient; it binds in direct mode"
+                        " only, since packed mode drains every relabel within"
+                        " its update")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -322,10 +331,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
     except (StreamFormatError, UsageError) as exc:
         print(f"dyncut: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout early (`dyncut run ... | head`); point
+        # stdout at devnull so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

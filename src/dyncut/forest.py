@@ -1,35 +1,35 @@
-"""Dynamic spanning forest over a handle-identified multigraph."""
+"""Dynamic spanning forest of a simple graph whose edges are named by key."""
 
 from __future__ import annotations
 
 from typing import Iterator, NamedTuple
 
-from .graph_core import EdgeKey, edge_key
+from .graph_core import EdgeKey
 
 
 class DeleteResult(NamedTuple):
-    """Outcome of a handle deletion.
+    """Outcome of an edge deletion.
 
-    removed is True when the handle was a forest edge; replacement is the
-    handle id promoted into the forest to reconnect the split, or None.
-    A spare deletion reports (False, None).
+    removed is True when the edge was a forest edge; replacement is the
+    key of the spare edge promoted into the forest to reconnect the split,
+    or None. A spare deletion reports (False, None).
     """
 
     removed: bool
-    replacement: int | None
+    replacement: EdgeKey | None
 
 
 UNTOUCHED = DeleteResult(False, None)
 
 
 class DynamicForest:
-    """Spanning forest of a dynamic multigraph on vertices [0, n).
+    """Spanning forest of a dynamic simple graph on vertices [0, n).
 
-    Parallel edges are distinct integer handles supplied by the caller;
-    handle ids must be fresh (strictly larger than any id seen before).
-    Components carry integer labels so connectivity checks are O(1);
-    structural changes relabel one side and deletions of forest edges
-    search the detached side for a reconnecting spare edge.
+    Edges are named by their canonical keys (u, v) with u < v, and each
+    pair is present at most once. Components carry integer labels so
+    connectivity checks are O(1); structural changes relabel one side and
+    deletions of forest edges search the detached side for a reconnecting
+    spare edge.
     """
 
     def __init__(self, n: int) -> None:
@@ -39,83 +39,60 @@ class DynamicForest:
         self._label = list(range(n))
         self._size: dict[int, int] = {v: 1 for v in range(n)}
         self._next_label = n
-        # tree adjacency: neighbor -> handle id (a forest never holds
-        # parallel edges, so one slot per neighbor suffices)
-        self._tree: list[dict[int, int]] = [{} for _ in range(n)]
-        # spare adjacency: handle id -> other endpoint
-        self._spare: list[dict[int, int]] = [{} for _ in range(n)]
-        self._endpoints: dict[int, EdgeKey] = {}
-        self._tree_ids: set[int] = set()
-        self._max_id = -1
-
-    def __len__(self) -> int:
-        return len(self._endpoints)
+        # per vertex, its tree and its spare neighbours in insertion order
+        self._tree: list[dict[int, None]] = [{} for _ in range(n)]
+        self._spare: list[dict[int, None]] = [{} for _ in range(n)]
 
     def connected(self, u: int, v: int) -> bool:
         return self._label[u] == self._label[v]
 
-    def tree_handles(self) -> frozenset[int]:
-        return frozenset(self._tree_ids)
-
     def tree_edges(self) -> Iterator[EdgeKey]:
-        for h in self._tree_ids:
-            yield self._endpoints[h]
+        for u, nbrs in enumerate(self._tree):
+            for v in nbrs:
+                if u < v:
+                    yield u, v
 
-    def insert(self, handle: int, u: int, v: int) -> bool:
-        """Add a handle for (u, v); returns True iff it joined the forest."""
-        if handle <= self._max_id:
-            raise ValueError(f"handle id {handle} is not fresh")
-        key = edge_key(u, v)
-        if not (0 <= key[0] < self.n and 0 <= key[1] < self.n):
-            raise ValueError(f"endpoints {key} out of range")
-        self._max_id = handle
-        self._endpoints[handle] = key
-        u, v = key
+    def insert(self, e: EdgeKey) -> bool:
+        """Add edge e; returns True iff it joined the forest."""
+        u, v = e
+        if not 0 <= u < v < self.n:
+            raise ValueError(f"edge {e} is not a canonical pair in [0, {self.n})")
+        if v in self._tree[u] or v in self._spare[u]:
+            raise ValueError(f"edge {e} is already present")
         lu, lv = self._label[u], self._label[v]
         if lu == lv:
-            self._spare[u][handle] = v
-            self._spare[v][handle] = u
+            self._spare[u][v] = None
+            self._spare[v][u] = None
             return False
         if self._size[lu] < self._size[lv]:
             self._relabel(u, lv)
         else:
             self._relabel(v, lu)
-        self._tree[u][v] = handle
-        self._tree[v][u] = handle
-        self._tree_ids.add(handle)
+        self._tree[u][v] = None
+        self._tree[v][u] = None
         return True
 
-    def delete(self, handle: int) -> DeleteResult:
-        """Remove a handle; promotes a reconnecting spare when one exists."""
-        key = self._endpoints.pop(handle, None)
-        if key is None:
-            raise KeyError(f"handle {handle} is not live")
-        u, v = key
-        if handle not in self._tree_ids:
-            del self._spare[u][handle]
-            del self._spare[v][handle]
+    def delete(self, e: EdgeKey) -> DeleteResult:
+        """Remove edge e; promotes a reconnecting spare when one exists."""
+        u, v = e
+        if not (0 <= u < v < self.n and (v in self._tree[u] or v in self._spare[u])):
+            raise KeyError(f"edge {e} is not present")
+        if v in self._spare[u]:
+            del self._spare[u][v]
+            del self._spare[v][u]
             return UNTOUCHED
-        self._tree_ids.discard(handle)
         del self._tree[u][v]
         del self._tree[v][u]
         side = self._reach(v)
-        found: tuple[int, int, int] | None = None
         for x in side:
-            for h, y in self._spare[x].items():
+            for y in self._spare[x]:
                 if y not in side:
-                    found = (h, x, y)
-                    break
-            if found:
-                break
-        if found:
-            # reconnects the split; component labels never changed
-            h, x, y = found
-            del self._spare[x][h]
-            del self._spare[y][h]
-            self._tree[x][y] = h
-            self._tree[y][x] = h
-            self._tree_ids.add(h)
-            return DeleteResult(True, h)
+                    # reconnects the split; component labels never changed
+                    del self._spare[x][y]
+                    del self._spare[y][x]
+                    self._tree[x][y] = None
+                    self._tree[y][x] = None
+                    return DeleteResult(True, (x, y) if x < y else (y, x))
         # genuine split: give the detached side a fresh label
         old = self._label[v]
         fresh = self._next_label

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from itertools import count
 from typing import Iterable
 
 from .forest import DynamicForest
@@ -16,8 +15,8 @@ class ForestPacking:
     at level i while it has weight left over after the copies used by the
     shallower forests, i.e. weight(e) - |{j in usage(e) : j < i}| > 0.
     Because residuals are non-increasing in the level index, each edge is
-    present on a prefix of levels; the structure stores one forest handle
-    per (edge, level) on that prefix.
+    present on a prefix of levels, and the structure stores only that
+    prefix's length: the edge sits in each of those levels' forests.
 
     A level's invariant refers only to shallower levels, so the first k
     forests of a deeper packing are themselves a depth-k packing of the
@@ -50,11 +49,9 @@ class ForestPacking:
         self._levels = [DynamicForest(n) for _ in range(depth)]
         self._weight: dict[EdgeKey, int] = {}
         self._usage: dict[EdgeKey, set[int]] = {}
-        # per edge, its forest handles on levels 0..len-1: the edge is
-        # present on that prefix, which only grows and shrinks at its end
-        self._handles: dict[EdgeKey, list[int]] = {}
-        self._handle_key: dict[int, EdgeKey] = {}
-        self._ids = count()
+        # per edge, the length k of its presence prefix: e is in the forests
+        # of levels 0..k-1, a prefix that only grows and shrinks at its end
+        self._present: dict[EdgeKey, int] = {}
         # prefix length k -> union of the first k forests, kept current by
         # _settle once it has been read
         self._unions: dict[int, WeightedGraph] = {}
@@ -130,34 +127,39 @@ class ForestPacking:
             e = stack.pop()
             w = self._weight.get(e, 0)
             used = self._usage.setdefault(e, set())
-            handles = self._handles.setdefault(e, [])
+            present = self._present.get(e, 0)
             # Release over-committed forest copies, deepest first. Each
             # release may promote a replacement edge whose own copies then
             # need settling; that chain moves strictly deeper each step.
             while len(used) > w:
                 lvl = max(used)
-                assert len(handles) == lvl + 1
+                assert present == lvl + 1
                 used.discard(lvl)
                 self._shift_unions(e, lvl, -1)
-                result = self._drop_handle(handles)
+                present = lvl
+                result = self._levels[lvl].delete(e)
                 assert result.removed
-                if result.replacement is not None:
-                    other = self._handle_key[result.replacement]
+                other = result.replacement
+                if other is not None:
                     self._usage.setdefault(other, set()).add(lvl)
                     self._shift_unions(other, lvl, 1)
                     stack.append(other)
             target = self._target(e)
-            while len(handles) > target:
-                result = self._drop_handle(handles)
+            while present > target:
+                present -= 1
+                result = self._levels[present].delete(e)
                 assert not result.removed
-            while len(handles) < target:
-                lvl = len(handles)
-                if self._add_handle(e, handles):
-                    used.add(lvl)
-                    self._shift_unions(e, lvl, 1)
+            while present < target:
+                # a new copy of e on the level just past its presence prefix
+                if self._levels[present].insert(e):
+                    used.add(present)
+                    self._shift_unions(e, present, 1)
                     target = self._target(e)
-            if not handles:
-                del self._handles[e]
+                present += 1
+            if present:
+                self._present[e] = present
+            else:
+                self._present.pop(e, None)
             if w == 0 and not used:
                 self._weight.pop(e, None)
                 self._usage.pop(e, None)
@@ -167,17 +169,3 @@ class ForestPacking:
         for k, g in self._unions.items():
             if lvl < k:
                 g.add_weight(e, delta)
-
-    def _add_handle(self, e: EdgeKey, handles: list[int]) -> bool:
-        # a new copy of e on the level just past its presence prefix
-        h = next(self._ids)
-        handles.append(h)
-        self._handle_key[h] = e
-        return self._levels[len(handles) - 1].insert(h, *e)
-
-    def _drop_handle(self, handles: list[int]):
-        # the copy on the deepest level of the presence prefix
-        h = handles.pop()
-        result = self._levels[len(handles)].delete(h)
-        del self._handle_key[h]
-        return result

@@ -214,6 +214,12 @@ def dense_regular_degree(n: int, degree: int | None = None) -> int:
     return floor
 
 
+def dense_regular_warmup(n: int, degree: int) -> int:
+    """Insertions the dense-regular warm-up makes: a circulant of
+    ceil(degree / 2) offsets, n distinct edges each since degree <= n - 2."""
+    return n * ((degree + 1) // 2)
+
+
 def generate_stream(
     model: str,
     n: int,

@@ -15,7 +15,7 @@ import sys
 import time
 from collections import deque
 from contextlib import redirect_stderr, redirect_stdout
-from itertools import combinations, count
+from itertools import combinations
 
 import pytest
 
@@ -335,32 +335,29 @@ def test_criterion_08_forest_delta_contract():
     for seed in range(FOREST_SEEDS):
         rng = random.Random(seed)
         forest = DynamicForest(n)
-        ids = count(1)
-        live: dict[int, tuple[int, int]] = {}
-        adj = [set() for _ in range(n)]  # handle ids per vertex
+        live: set[tuple[int, int]] = set()
         for _ in range(FOREST_UPDATES):
-            before = forest.tree_handles()
+            before = set(forest.tree_edges())
             if live and rng.random() < 0.45:
-                h = rng.choice(sorted(live))
-                u, v = live.pop(h)
-                adj[u].discard(h)
-                adj[v].discard(h)
-                forest.delete(h)
-                after = forest.tree_handles()
+                e = rng.choice(sorted(live))
+            else:
+                e = edge_key(*rng.sample(range(n), 2))
+            # a drawn pair that is already live is deleted: the forest
+            # holds a simple graph, so it has no parallel copy to add
+            if e in live:
+                live.discard(e)
+                forest.delete(e)
+                after = set(forest.tree_edges())
                 if len(before - after) > 1 or len(after - before) > 1:
                     bad += 1
             else:
-                u, v = rng.sample(range(n), 2)
-                h = next(ids)
-                forest.insert(h, u, v)
-                live[h] = (u, v)
-                adj[u].add(h)
-                adj[v].add(h)
-                after = forest.tree_handles()
+                live.add(e)
+                forest.insert(e)
+                after = set(forest.tree_edges())
                 if len(after - before) > 1 or before - after:
                     bad += 1
             # component partition must match a fresh scan of live edges
-            comp = _union_find_partition(n, live.values())
+            comp = _union_find_partition(n, live)
             by_label: dict = {}
             by_comp: dict = {}
             for x in range(n):

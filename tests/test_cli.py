@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from collections import deque
 from pathlib import Path
 
 import pytest
 
-from dyncut import CutResult, Engine
+from dyncut import CutResult, DynamicGraph, Engine, generate_stream
 from dyncut.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _run(capsys, *argv) -> tuple[int, str, str]:
@@ -219,6 +224,47 @@ def test_bench_takes_engine_flags(capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 2
     assert lines[1].startswith("16 direct")
+
+
+@pytest.mark.parametrize(("steps", "noted"), [(47, True), (48, False)])
+def test_bench_notes_a_run_inside_the_warm_up(capsys, steps, noted):
+    # at n = 16 and degree 5 the warm-up circulant has 3 offsets, 48 edges
+    code, out, err = _run(
+        capsys, "bench", "--sizes", "16", "--reps", "1", "--degree", "5",
+        "--steps", str(steps), "--copies", "2",
+    )
+    assert code == 0
+    assert [line.split()[:2] for line in out.strip().splitlines()] == [
+        ["n", "mode"], ["16", "direct"]]
+    note = f"# n=16 warm-up 48 > --steps {steps}: every timed update is a" \
+        " warm-up insertion\n"
+    assert err == (note if noted else "")
+    # the note's count is the generator's: its circulant, 6-regular at
+    # degree 5, needs all 48 insertions
+    graph = DynamicGraph(16)
+    for ev in generate_stream("dense-regular", 16, steps, 0, degree=5).events:
+        graph.insert_edge(ev.edge)
+    assert (graph.min_degree() < 6) == noted
+
+
+def test_run_into_reader_that_closes_early(tmp_path):
+    # 120 kB of answers outgrow the pipe's buffer, so the run is still
+    # writing after the reader has taken one line and closed its end
+    path = tmp_path / "many.txt"
+    path.write_text("n 2\n+ 0 1\n" + "?e\n" * 20000)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "dyncut.cli", "run", str(path), "--copies", "1"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == b"1 0-1\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert b"Traceback" not in err
+    assert b"BrokenPipeError" not in err
 
 
 @pytest.mark.parametrize("command", ["run", "verify", "bench"])

@@ -4,18 +4,17 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from itertools import count
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dyncut import UNTOUCHED, DynamicForest
+from dyncut import UNTOUCHED, DynamicForest, edge_key
 
 
-def _bfs_components(n: int, edges: dict[int, tuple[int, int]]) -> list[int]:
+def _bfs_components(n: int, edges) -> list[int]:
     adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges.values():
+    for u, v in edges:
         adj[u].append(v)
         adj[v].append(u)
     comp = [-1] * n
@@ -49,69 +48,98 @@ def _forest_partition(f: DynamicForest, n: int) -> set[frozenset[int]]:
     return {frozenset(g) for g in groups.values()}
 
 
+def _state(f: DynamicForest):
+    # neighbour lists in order: the order decides which spare replaces a cut
+    return ([list(d) for d in f._tree], [list(d) for d in f._spare],
+            list(f._label), dict(f._size))
+
+
 def test_insert_joins_disconnected():
     f = DynamicForest(3)
-    assert f.insert(1, 0, 1) is True
+    assert f.insert((0, 1)) is True
     assert f.connected(0, 1)
 
 
 def test_insert_spare_closes_cycle():
     f = DynamicForest(3)
-    f.insert(1, 0, 1)
-    f.insert(2, 1, 2)
-    assert f.insert(3, 0, 2) is False
-    assert f.tree_handles() == {1, 2}
+    f.insert((0, 1))
+    f.insert((1, 2))
+    assert f.insert((0, 2)) is False
+    assert set(f.tree_edges()) == {(0, 1), (1, 2)}
 
 
-def test_parallel_handle_is_spare():
+def test_insert_rejects_non_key_pair():
+    f = DynamicForest(3)
+    f.insert((0, 1))
+    before = _state(f)
+    # reversed, a self-loop, out of range on either side
+    for e in [(1, 0), (1, 1), (0, 3), (-1, 0), (2, 5)]:
+        with pytest.raises(ValueError):
+            f.insert(e)
+        assert _state(f) == before
+
+
+def test_insert_rejects_present_edge():
+    f = DynamicForest(3)
+    f.insert((0, 1))
+    f.insert((1, 2))
+    f.insert((0, 2))  # spare
+    before = _state(f)
+    for e in [(0, 1), (1, 2), (0, 2)]:
+        with pytest.raises(ValueError):
+            f.insert(e)
+        assert _state(f) == before
+
+
+def test_deleted_edge_can_return():
     f = DynamicForest(2)
-    f.insert(1, 0, 1)
-    assert f.insert(2, 0, 1) is False
-
-
-def test_handle_reuse_rejected():
-    f = DynamicForest(2)
-    f.insert(5, 0, 1)
-    f.delete(5)
-    with pytest.raises(ValueError):
-        f.insert(5, 0, 1)
-    with pytest.raises(ValueError):
-        f.insert(4, 0, 1)
+    f.insert((0, 1))
+    f.delete((0, 1))
+    assert f.insert((0, 1)) is True
+    assert set(f.tree_edges()) == {(0, 1)}
 
 
 def test_triangle_replacement():
     f = DynamicForest(3)
-    f.insert(1, 0, 1)
-    f.insert(2, 1, 2)
-    f.insert(3, 0, 2)
-    res = f.delete(1)
+    f.insert((0, 1))
+    f.insert((1, 2))
+    f.insert((0, 2))
+    res = f.delete((0, 1))
     assert res.removed is True
-    assert res.replacement == 3
+    assert res.replacement == (0, 2)
     assert f.connected(0, 1)
+    assert set(f.tree_edges()) == {(1, 2), (0, 2)}
 
 
 def test_delete_spare_untouched():
     f = DynamicForest(3)
-    f.insert(1, 0, 1)
-    f.insert(2, 1, 2)
-    f.insert(3, 0, 2)
-    assert f.delete(3) is UNTOUCHED
-    assert f.tree_handles() == {1, 2}
+    f.insert((0, 1))
+    f.insert((1, 2))
+    f.insert((0, 2))
+    assert f.delete((0, 2)) is UNTOUCHED
+    assert set(f.tree_edges()) == {(0, 1), (1, 2)}
 
 
 def test_delete_bridge_disconnects():
     f = DynamicForest(2)
-    f.insert(1, 0, 1)
-    res = f.delete(1)
+    f.insert((0, 1))
+    res = f.delete((0, 1))
     assert res.removed is True
     assert res.replacement is None
     assert not f.connected(0, 1)
 
 
-def test_delete_dead_handle_rejected():
-    f = DynamicForest(2)
-    with pytest.raises(KeyError):
-        f.delete(9)
+def test_delete_absent_edge_rejected():
+    f = DynamicForest(3)
+    f.insert((0, 1))
+    f.insert((1, 2))
+    f.delete((0, 1))
+    before = _state(f)
+    # never inserted, reversed, already deleted, a self-loop, out of range
+    for e in [(0, 2), (2, 1), (0, 1), (1, 1), (0, 9), (-1, 1)]:
+        with pytest.raises(KeyError):
+            f.delete(e)
+        assert _state(f) == before
 
 
 def test_connected_empty():
@@ -120,44 +148,44 @@ def test_connected_empty():
 
 def test_connected_path():
     f = DynamicForest(3)
-    f.insert(1, 0, 1)
-    f.insert(2, 1, 2)
+    f.insert((0, 1))
+    f.insert((1, 2))
     assert f.connected(0, 2)
 
 
 def _random_run(seed: int, n: int, steps: int, check_pairs: bool = False) -> None:
     rng = random.Random(seed)
-    ids = count(1)
     f = DynamicForest(n)
-    live: dict[int, tuple[int, int]] = {}
+    live: set[tuple[int, int]] = set()
     for _ in range(steps):
-        before = f.tree_handles()
+        before = set(f.tree_edges())
         if live and rng.random() < 0.45:
-            h = rng.choice(sorted(live))
-            res = f.delete(h)
-            del live[h]
-            after = f.tree_handles()
+            e = rng.choice(sorted(live))
+        else:
+            e = edge_key(*rng.sample(range(n), 2))
+        if e in live:
+            res = f.delete(e)
+            live.discard(e)
+            after = set(f.tree_edges())
             if res is UNTOUCHED:
                 assert after == before
             else:
                 removed = before - after
                 added = after - before
-                assert removed == {h}
+                assert removed == {e}
                 assert len(added) <= 1
                 if res.replacement is not None:
                     assert added == {res.replacement}
         else:
-            u, v = rng.sample(range(n), 2)
-            h = next(ids)
-            f.insert(h, u, v)
-            live[h] = (u, v)
-            after = f.tree_handles()
+            f.insert(e)
+            live.add(e)
+            after = set(f.tree_edges())
             assert len(after - before) <= 1
             assert before <= after
         comp = _bfs_components(n, live)
         assert _forest_partition(f, n) == _partition(comp)
         # acyclicity: tree edge count == n - number of components
-        assert len(f.tree_handles()) == n - len(set(comp))
+        assert len(after) == n - len(set(comp))
         if check_pairs:
             for u in range(n):
                 for v in range(u + 1, n):
@@ -179,23 +207,17 @@ _OPS = st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=80)
 @settings(deadline=None, max_examples=150)
 @given(_OPS)
 def test_property_random_sequences(pairs):
-    ids = count(1)
     f = DynamicForest(10)
-    live: dict[int, tuple[int, int]] = {}
-    by_pair: dict[tuple[int, int], list[int]] = {}
+    live: set[tuple[int, int]] = set()
     for u, v in pairs:
         if u == v:
             continue
-        key = (min(u, v), max(u, v))
-        stack = by_pair.setdefault(key, [])
-        if stack and len(stack) > 1:
-            h = stack.pop()
-            f.delete(h)
-            del live[h]
+        e = edge_key(u, v)
+        if e in live:
+            f.delete(e)
+            live.discard(e)
         else:
-            h = next(ids)
-            f.insert(h, u, v)
-            live[h] = key
-            stack.append(h)
+            f.insert(e)
+            live.add(e)
         comp = _bfs_components(10, live)
         assert _forest_partition(f, 10) == _partition(comp)

@@ -153,11 +153,13 @@ def test_slack_absorbs_bulk_decrement():
     p = ForestPacking(2, 2)
     p.apply_delta((0, 1), 10)
     assert p.used_levels((0, 1)) == frozenset({0, 1})
-    handles_before = {e: list(hs) for e, hs in p._handles.items()}
+    present_before = dict(p._present)
+    forests_before = [p.level_forest(i) for i in range(2)]
     p.apply_delta((0, 1), -5)
     assert p.weight((0, 1)) == 5
     assert p.used_levels((0, 1)) == frozenset({0, 1})
-    assert p._handles == handles_before
+    assert p._present == present_before
+    assert [p.level_forest(i) for i in range(2)] == forests_before
 
 
 def test_union_graph_empty():
