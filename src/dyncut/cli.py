@@ -41,7 +41,7 @@ def _engine_config(args: argparse.Namespace) -> EngineConfig:
         seed=args.seed,
         center_coeff=args.cp,
         budget_coeff=args.cb,
-        report_edges=getattr(args, "report_edges", False),
+        report_edges=True,
     )
 
 
@@ -58,10 +58,12 @@ def _check_stream_flags(args: argparse.Namespace, sizes: list[int],
         if value < bound:
             flag = name.replace("_", "-")
             raise UsageError(f"--{flag} must be at least {bound}, got {value}")
+    if args.model != "dense-regular" and args.degree is not None:
+        raise UsageError("--degree applies to the dense-regular model only")
     for n in sizes:
         if n < 2:
             raise UsageError(f"streams need at least two vertices, got {n}")
-        if args.model == "dense-regular" or args.degree is not None:
+        if args.model == "dense-regular":
             try:
                 dense_regular_degree(n, args.degree)
             except ValueError as exc:
@@ -99,10 +101,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     stream = _read_stream(args.stream)
-    config = _engine_config(args)
-    if not config.report_edges and any(e.kind == QUERY_CUT for e in stream.events):
-        config.report_edges = True
-    engine = _new_engine(stream.n, config)
+    engine = _new_engine(stream.n, _engine_config(args))
     started = time.perf_counter()
     for i, ev in enumerate(stream.events):
         if ev.kind in (INSERT, DELETE):
@@ -118,7 +117,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     print(f"# updates={stats.updates}", file=sys.stderr)
     print(f"# queries={stats.queries}", file=sys.stderr)
     print(f"# copies={engine.copies}", file=sys.stderr)
-    print(f"# mode={config.mode}", file=sys.stderr)
+    print(f"# mode={engine.config.mode}", file=sys.stderr)
     if stats.updates:
         print(f"# updates_per_s={stats.updates / elapsed:.1f}", file=sys.stderr)
     # the views' state at the end of the run
@@ -179,9 +178,7 @@ def _witness_problem(shadow: WeightedGraph, witness) -> str | None:
 def cmd_verify(args: argparse.Namespace) -> int:
     stream = _read_stream(args.stream)
     oracle = _oracle_for(args.oracle, stream.n)
-    config = _engine_config(args)
-    config.report_edges = True
-    engine = _new_engine(stream.n, config)
+    engine = _new_engine(stream.n, _engine_config(args))
     shadow = WeightedGraph(range(stream.n))
     checked = 0
     failures = 0
@@ -299,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="answer the queries in a stream")
     run.add_argument("stream", help="stream file, or - for stdin")
     _add_engine_flags(run)
-    run.add_argument("--report-edges", action="store_true")
     run.set_defaults(func=cmd_run)
 
     verify = sub.add_parser("verify", help="replay a stream against a static oracle")

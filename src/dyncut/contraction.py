@@ -18,22 +18,32 @@ def relabel_budget(n: int, min_degree: int, coeff: float = DEFAULT_BUDGET_COEFF)
     return math.ceil(coeff * n * math.log2(max(n, 2)) ** 4 / max(min_degree, 1))
 
 
+def center_probability(n: int, threshold: int,
+                       coeff: float = DEFAULT_CENTER_COEFF) -> float:
+    """The chance that each vertex is drawn as a center of a contraction at
+    a degree threshold: the paper's min(1, coeff * log2(n) / threshold)."""
+    if threshold < 1:
+        raise ValueError("threshold must be positive")
+    return min(1.0, coeff * math.log2(max(n, 2)) / threshold)
+
+
 class StarInstance:
-    """One contraction of the input graph at a fixed degree threshold.
+    """One contraction of the input graph onto a given center set.
 
     The instance reads the caller's DynamicGraph and never changes it: the
     caller validates each edge update and applies it to that graph first,
     then passes the edge's canonical key to apply_update. Any number of
     instances can read one graph.
 
-    A random center set is drawn once at construction: each vertex becomes
-    a center with probability min(1, coeff * log2(n) / threshold). Every
-    non-center tracks its center neighbors in a StableSampler and is merged
-    into the sampled one; centers represent themselves. The instance keeps
-    the resulting weighted quotient graph incrementally: every live edge is
-    counted, in the quotient weights or in the unmapped counter, under one
-    pair of endpoint representatives, and a quotient edge's preimage is
-    read from those pairs on demand.
+    The instance contracts onto the center set it is handed; the caller
+    draws it (the engine keeps each vertex with center_probability at the
+    cell's threshold) and hands in the random source the samplers draw
+    their priorities from. Every non-center tracks its center neighbors in
+    a StableSampler and is merged into the sampled one; centers represent
+    themselves. The instance keeps the resulting weighted quotient graph
+    incrementally: every live edge is counted, in the quotient weights or
+    in the unmapped counter, under one pair of endpoint representatives,
+    and a quotient edge's preimage is read from those pairs on demand.
 
     Relabeling is lazy and keeps one invariant: an edge outside the
     relabel queue is counted under its endpoints' current representatives,
@@ -49,25 +59,10 @@ class StarInstance:
     current representatives.
     """
 
-    def __init__(
-        self,
-        graph: DynamicGraph,
-        threshold: int,
-        seed: int = 0,
-        center_coeff: float = DEFAULT_CENTER_COEFF,
-        centers: frozenset[int] | None = None,
-    ) -> None:
-        if threshold < 1:
-            raise ValueError("threshold must be positive")
-        n = graph.n
+    def __init__(self, graph: DynamicGraph, centers: frozenset[int],
+                 rng: random.Random | None) -> None:
         self.graph = graph
-        self._rng = random.Random(seed)
-        log_n = math.log2(max(n, 2))
-        self.center_probability = min(1.0, center_coeff * log_n / threshold)
-        if centers is None:
-            centers = frozenset(
-                v for v in range(n) if self._rng.random() < self.center_probability
-            )
+        self._rng = rng  # None only where no vertex needs a sampler
         self.centers = centers
         self._samplers: dict[int, StableSampler] = {}
         self._contracted = WeightedGraph(self.centers)

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import hashlib
 import math
+import random
 from dataclasses import dataclass
 
 from .contraction import DEFAULT_BUDGET_COEFF, DEFAULT_CENTER_COEFF
-from .contraction import StarInstance, relabel_budget
+from .contraction import StarInstance, center_probability, relabel_budget
 from .graph_core import DynamicGraph, EdgeKey, edge_key
 from .mincut import CutResult, stoer_wagner
 from .packing import ForestPacking
@@ -41,11 +42,14 @@ class EngineStats:
 class Engine:
     """Maintains the exact global minimum cut value under edge updates.
 
-    Each independent copy draws one contraction instance per threshold 2^i,
-    i = 0..floor(log2(n-1)). An instance whose drawn center set is all of V is
-    the identity contraction: it has no samplers, so every such instance
-    holds the same quotient (the graph itself) under the same updates, and
-    one shared identity instance fills all of those grid cells. The view
+    Each independent copy c fills one grid cell per threshold 2^i,
+    i = 0..floor(log2(n-1)), and the engine draws the cell's centers: where
+    p = center_probability(n, 2^i, center_coeff) is below 1, a random.Random
+    seeded from (seed, c, i) keeps each vertex in id order with probability
+    p, then feeds the samplers of a StarInstance on those centers. Centers
+    that are all of V (p = 1, or drawn) make the identity contraction: it
+    has no samplers, so every such cell holds the same quotient (the graph
+    itself), and one shared identity instance fills them all. The view
     table maps each distinct instance to its packing, or to None in direct
     mode. In packed mode each instance feeds its quotient weight deltas into
     one forest packing of depth 2^(i+1) for the deepest level i it fills,
@@ -89,8 +93,8 @@ class Engine:
         self.graph = DynamicGraph(n)
         packed = self.config.mode == MODE_PACKED
         everyone = frozenset(range(n))
-        # Stands in for every drawn identity instance; its threshold is moot.
-        identity = StarInstance(self.graph, threshold=1, centers=everyone)
+        # Fills every cell whose centers are all of V; it never samples.
+        identity = StarInstance(self.graph, everyone, None)
         # Grid of copies x levels whose cells alias the shared instances;
         # perfbench reads it to describe the views.
         self._instances: list[list[StarInstance]] = []
@@ -100,14 +104,13 @@ class Engine:
         for c in range(self.copies):
             row = []
             for i in range(self.levels):
-                inst = StarInstance(
-                    self.graph,
-                    threshold=2**i,
-                    seed=_child_seed(self.config.seed, c, i),
-                    center_coeff=self.config.center_coeff,
-                )
-                if inst.centers == everyone:
-                    inst = identity
+                p = center_probability(n, 2**i, self.config.center_coeff)
+                inst = identity
+                if p < 1:
+                    rng = random.Random(_child_seed(self.config.seed, c, i))
+                    centers = frozenset(v for v in range(n) if rng.random() < p)
+                    if centers != everyone:
+                        inst = StarInstance(self.graph, centers, rng)
                 deepest[inst] = max(deepest.get(inst, i), i)
                 row.append(inst)
             self._instances.append(row)

@@ -234,6 +234,8 @@ def generate_stream(
         raise ValueError(f"unknown model {model!r}, expected one of {MODELS}")
     if n < 2:
         raise ValueError("streams need at least two vertices")
+    if model != "dense-regular" and degree is not None:
+        raise ValueError("degree applies to the dense-regular model only")
     state = _ReplayState(n, random.Random(seed))
     if model == "erdos-insert-delete":
         updates = _erdos_steps(state, steps)

@@ -385,7 +385,8 @@ def test_criterion_09_contraction_completeness():
     complete_steps = 0
     total_steps = 0
     for seed in range(COMPLETENESS_SEEDS):
-        inst = StarInstance(DynamicGraph(n), threshold=2, seed=seed)  # p clamps to 1
+        # every vertex is a center at threshold 2, where the probability clamps to 1
+        inst = StarInstance(DynamicGraph(n), frozenset(range(n)), None)
         rng = random.Random(5000 + seed)
         present = set()
         for v in range(n):
@@ -535,7 +536,7 @@ def test_criterion_12_run_determinism(tmp_path):
         path = tmp_path / f"s{idx}.txt"
         path.write_text(render_stream(stream))
         argv = ["run", str(path), "--mode", mode, "--copies", "6",
-                "--seed", str(idx), "--report-edges"]
+                "--seed", str(idx)]
         runs += 1
         if _run_cli(argv) != _run_cli(argv):
             diffs += 1

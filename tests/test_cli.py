@@ -304,11 +304,16 @@ def test_bad_copies_exit_two(tmp_path, capsys, command):
          "--degree must be in 1..1, got the default 2 at n = 3"),
         (["bench", "--sizes", "3"],
          "--degree must be in 1..1, got the default 2 at n = 3"),
+        # only dense-regular reads a degree; the other models would ignore it
+        (["gen", "-n", "10", "--steps", "20", "--degree", "5"],
+         "--degree applies to the dense-regular model only"),
+        (["bench", "--sizes", "8", "--model", "sliding-window", "--degree", "2"],
+         "--degree applies to the dense-regular model only"),
     ],
     ids=["gen-n1", "gen-negative-steps", "gen-negative-query-every",
          "gen-degree-above-n", "gen-degree-complete", "bench-n1", "bench-reps0",
          "bench-steps0", "bench-sizes-not-integer", "gen-default-degree-n3",
-         "bench-default-degree-n3"],
+         "bench-default-degree-n3", "gen-degree-erdos", "bench-degree-window"],
 )
 def test_bad_stream_flags_exit_two(capsys, argv, message):
     # rejected before any output, not with a traceback and exit status 1
@@ -337,9 +342,8 @@ def test_run_witnesses_match_recorded_output(capsys, cp, mode, extra, views):
     # --steps 600 --query-every 10 --cut-queries`; the expected stdout and
     # views lines were recorded with the same run flags, and at --cp 1 its
     # query level contracts
-    code, out, err = _run(capsys, "run", str(DATA / "dense32.txt"), "--report-edges",
-                          "--copies", "4", "--seed", "3", "--cp", cp, "--mode", mode,
-                          *extra)
+    code, out, err = _run(capsys, "run", str(DATA / "dense32.txt"), "--copies", "4",
+                          "--seed", "3", "--cp", cp, "--mode", mode, *extra)
     assert code == 0
     assert out == (DATA / f"dense32_{mode}_cp{cp}.out").read_text()
     for line in views:

@@ -15,14 +15,31 @@ from dyncut import (
     brute_force_mincut,
     edge_key,
 )
-from dyncut.contraction import DEFAULT_BUDGET_COEFF, relabel_budget
+from dyncut.contraction import (
+    DEFAULT_BUDGET_COEFF,
+    DEFAULT_CENTER_COEFF,
+    center_probability,
+    relabel_budget,
+)
 
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
 
-def _star(n: int, **kw) -> StarInstance:
-    """An instance reading a fresh graph of its own on n vertices."""
-    return StarInstance(DynamicGraph(n), **kw)
+def _star(n: int, threshold: int = 1, center_coeff: float = DEFAULT_CENTER_COEFF,
+          seed: int = 0, centers: frozenset[int] | None = None,
+          graph: DynamicGraph | None = None) -> StarInstance:
+    """An instance on n vertices whose samplers draw from random.Random(seed).
+
+    Unless centers are given, that generator first draws them as the engine
+    draws a cell's: each vertex in id order with center_probability(n,
+    threshold, center_coeff). The instance reads graph, or by default a
+    fresh graph of its own.
+    """
+    rng = random.Random(seed)
+    if centers is None:
+        p = center_probability(n, threshold, center_coeff)
+        centers = frozenset(v for v in range(n) if rng.random() < p)
+    return StarInstance(DynamicGraph(n) if graph is None else graph, centers, rng)
 
 
 def _apply(inst: StarInstance, e, sign: int, budget_coeff=None, budget=math.inf):
@@ -86,19 +103,16 @@ def _scan_consistency(inst: StarInstance) -> None:
 
 
 def test_probability_clamps_to_one():
-    inst = _star(16, threshold=2)
-    assert inst.center_probability == 1.0
-    assert inst.centers == frozenset(range(16))
+    assert center_probability(16, 2) == 1.0
+    assert _star(16, threshold=2).centers == frozenset(range(16))
 
 
 def test_probability_arithmetic_at_default_coefficient():
-    inst = _star(1024, threshold=512)
-    assert inst.center_probability == 1.0  # min(1, 800*10/512)
+    assert center_probability(1024, 512) == 1.0  # min(1, 800*10/512)
 
 
 def test_probability_small_coefficient():
-    inst = _star(1024, threshold=512, center_coeff=2.0)
-    assert inst.center_probability == pytest.approx(0.0390625)
+    assert center_probability(1024, 512, 2.0) == pytest.approx(0.0390625)
 
 
 def test_center_count_concentrates():
@@ -113,13 +127,13 @@ def test_center_count_concentrates():
 
 
 def test_insert_between_centers():
-    inst = _star(4, threshold=1, centers=frozenset({0, 1}))
+    inst = _star(4, centers=frozenset({0, 1}))
     assert _apply(inst, (0, 1), +1) == [((0, 1), 1)]
     assert dict(inst.contracted_graph().edges()) == {(0, 1): 1}
 
 
 def test_insert_between_orphan_noncenters():
-    inst = _star(4, threshold=1, centers=frozenset({0}))
+    inst = _star(4, centers=frozenset({0}))
     assert _apply(inst, (2, 3), +1) == []
     assert not inst.is_complete()
 
@@ -147,7 +161,7 @@ def test_identity_regime_matches_input():
 def _k4_with_known_reps() -> StarInstance:
     # find a seed that lands rep(2)=0 and rep(3)=1 after inserting K_4
     for seed in range(500):
-        inst = _star(4, threshold=4, seed=seed, centers=frozenset({0, 1}))
+        inst = _star(4, seed=seed, centers=frozenset({0, 1}))
         for e in K4_EDGES:
             _apply(inst, e, +1)
         if inst.representative(2) == 0 and inst.representative(3) == 1:
@@ -173,7 +187,7 @@ def test_k4_forced_representative_flip():
 
 
 def test_empty_graph_is_complete():
-    assert _star(6, threshold=6, centers=frozenset({0})).is_complete()
+    assert _star(6, centers=frozenset({0})).is_complete()
 
 
 def test_sum_of_weights_counts_mapped_edges():
@@ -228,7 +242,7 @@ def test_eager_equals_full_lazy_drain(seed):
     n = 32
     graph = DynamicGraph(n)
     eager, lazy = (
-        StarInstance(graph, threshold=16, center_coeff=1.0, seed=seed)
+        _star(n, threshold=16, center_coeff=1.0, seed=seed, graph=graph)
         for _ in range(2)
     )
     assert eager.centers == lazy.centers != frozenset(range(n))
@@ -318,7 +332,7 @@ def test_drained_queue_pends_nothing():
     # a non-center that loses its last center has no edges left to rename;
     # once the queue ahead of it drains, the view is complete
     n = 40
-    inst = _star(n, threshold=1, seed=1, centers=frozenset(range(n)) - {4, 5})
+    inst = _star(n, seed=1, centers=frozenset(range(n)) - {4, 5})
     step = _budgeted(inst, 1)
     spare = list(range(6, n))
     for c in spare[:14]:
@@ -345,7 +359,7 @@ def test_stale_relabel_never_reaches_a_reinserted_edge():
     # 2 gains center 0 and loses it again while (2, 3) is deleted and
     # reinserted; the rename queued by the first change must not map the
     # reinserted edge, whose endpoint 2 has no representative now
-    inst = _star(4, threshold=1, centers=frozenset({0, 1}))
+    inst = _star(4, centers=frozenset({0, 1}))
     step = _budgeted(inst, 0)  # nothing drains until the last update
     step((1, 3), +1)
     step((2, 3), +1)
@@ -473,5 +487,5 @@ def test_representative_change_rate_bounded():
 
 
 def test_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        _star(4, threshold=0)
+    with pytest.raises(ValueError, match="threshold must be positive"):
+        center_probability(4, 0)

@@ -371,9 +371,11 @@ def test_identity_views_are_shared(monkeypatch, mode):
     # At the default coefficient every level is an identity view, so each
     # update reaches one instance and each query runs one static cut,
     # however many copies the grid has.
+    built = _count_calls(monkeypatch, StarInstance, "__init__")
     updates = _count_calls(monkeypatch, StarInstance, "apply_update")
     cuts = _count_calls(monkeypatch, engine_module, "stoer_wagner")
     eng = Engine(8, _cfg(mode, copies=6, report_edges=True))
+    assert built[0] == 1  # the identity, and no instance drawn per cell
     edges = _two_k4_bridge()
     _fill(eng, edges)
     assert updates[0] == len(edges)
@@ -388,6 +390,18 @@ def test_identity_views_are_shared(monkeypatch, mode):
         assert len(packings) == 1
         assert eng._views[eng._instances[0][0]].depth == 2**eng.levels
     assert eng.completeness() == [1.0] * eng.levels
+
+
+@pytest.mark.parametrize("n", [2, 1000, 16384])
+def test_default_coefficient_builds_the_identity_only(monkeypatch, n):
+    # Every level built has a threshold 2^i <= n - 1, where the center
+    # probability 800 * log2(n) / 2^i is at least 1 for n <= 16384, so no
+    # cell draws centers: the default grid of 5 * log2(n) copies builds
+    # one instance in all.
+    built = _count_calls(monkeypatch, StarInstance, "__init__")
+    eng = Engine(n, EngineConfig(mode=MODE_DIRECT))
+    assert built[0] == 1
+    assert list(eng._views) == [eng._instances[0][0]]
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -476,11 +490,13 @@ def test_rejected_updates_leave_engine_unchanged(mode):
     assert eng.query_value() == value
 
 
-def test_drawn_identity_shares_a_mixed_level():
+def test_drawn_identity_shares_a_mixed_level(monkeypatch):
     # center probability 1.25 * log2(8) / 4 < 1 at level 2, the top level
     # at n = 8, yet some copies draw every vertex: those cells alias the
     # shared identity instance
+    built = _count_calls(monkeypatch, StarInstance, "__init__")
     eng = Engine(8, _cfg(MODE_PACKED, copies=6, center_coeff=1.25))
+    assert built[0] == len(eng._views)  # one instance per distinct view
     cells = [row[2] for row in eng._instances]
     drawn_all = [inst for inst in cells if len(inst.centers) == 8]
     assert 0 < len(drawn_all) < len(cells)

@@ -140,12 +140,23 @@ def test_dense_regular_degree_flag():
     assert floors[-1] >= 6
 
 
-@pytest.mark.parametrize(("n", "degree"), [(3, None), (2, None), (8, 7), (8, 0)])
-def test_dense_regular_rejects_degree_it_cannot_keep(n, degree):
+@pytest.mark.parametrize(
+    ("model", "n", "degree", "message"),
+    [("dense-regular", 3, None, r"degree must be in 1\.\.1"),
+     ("dense-regular", 2, None, r"degree must be in 1\.\.0"),
+     ("dense-regular", 8, 7, r"degree must be in 1\.\.6"),
+     ("dense-regular", 8, 0, r"degree must be in 1\.\.6"),
+     ("erdos-insert-delete", 8, 3, "degree applies to the dense-regular model only"),
+     ("sliding-window", 8, 3, "degree applies to the dense-regular model only")],
+    ids=["3-None", "2-None", "8-7", "8-0", "erdos-insert-delete-8-3",
+         "sliding-window-8-3"],
+)
+def test_dense_regular_rejects_degree_it_cannot_keep(model, n, degree, message):
     # the default max(2, n // 4) is n - 1 at n = 3 and above it at n = 2;
-    # n - 1 is the complete graph, which the churn must break
-    with pytest.raises(ValueError, match=rf"degree must be in 1\.\.{n - 2}"):
-        generate_stream("dense-regular", n, 12, seed=0, degree=degree)
+    # n - 1 is the complete graph, which the churn must break; the other
+    # models keep no degree, so they take none rather than ignore it
+    with pytest.raises(ValueError, match=message):
+        generate_stream(model, n, 12, seed=0, degree=degree)
 
 
 def test_unknown_model_rejected():
