@@ -268,9 +268,7 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cp", type=float, default=DEFAULT_CENTER_COEFF,
                         help="center sampling coefficient")
     parser.add_argument("--cb", type=float, default=DEFAULT_BUDGET_COEFF,
-                        help="relabel budget coefficient; it binds in direct mode"
-                        " only, since packed mode drains every relabel within"
-                        " its update")
+                        help="relabel budget coefficient, in either mode")
 
 
 def build_parser() -> argparse.ArgumentParser:

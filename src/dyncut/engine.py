@@ -25,6 +25,17 @@ def _child_seed(master: int, copy: int, level: int) -> int:
 
 @dataclass
 class EngineConfig:
+    """Engine settings; Engine raises ValueError on a value out of range.
+
+    mode: "packed" (default) reads views through forest packings, "direct"
+    reads their quotients. copies: independent copies, at least 1; None
+    (default) means ceil(5 * log2(max(n, 2))). seed: any int (default 0).
+    center_coeff (default 800) and budget_coeff (default 1), each finite
+    and positive, scale center_probability and relabel_budget; budget_coeff
+    caps the relabels one update drains per view in either mode.
+    report_edges (default False): query_cut needs it True.
+    """
+
     mode: str = MODE_PACKED
     copies: int | None = None
     seed: int = 0
@@ -43,33 +54,24 @@ class Engine:
     """Maintains the exact global minimum cut value under edge updates.
 
     Each independent copy c fills one grid cell per threshold 2^i,
-    i = 0..floor(log2(n-1)), and the engine draws the cell's centers: where
-    p = center_probability(n, 2^i, center_coeff) is below 1, a random.Random
-    seeded from (seed, c, i) keeps each vertex in id order with probability
-    p, then feeds the samplers of a StarInstance on those centers. Centers
-    that are all of V (p = 1, or drawn) make the identity contraction: it
-    has no samplers, so every such cell holds the same quotient (the graph
-    itself), and one shared identity instance fills them all. The view
-    table maps each distinct instance to its packing, or to None in direct
-    mode. In packed mode each instance feeds its quotient weight deltas into
-    one forest packing of depth 2^(i+1) for the deepest level i it fills,
-    and a query at level j runs a static cut on the union of that packing's
-    first 2^(j+1) forests, which is the depth-2^(j+1) packing of the same
-    quotient; in direct mode queries run the static cut on the quotient
-    graph itself. Every instance reads the engine's one DynamicGraph and
-    keeps no copy of it: an update is applied to that graph once, which
-    rejects duplicate, missing and out-of-range edges and bad signs before
-    any instance sees them, and then reaches every view once with one
-    canonical key and one relabel budget, unbounded in packed mode and
-    relabel_budget(n, delta, budget_coeff) in direct mode, delta read only
-    if a view contracts; a view stores a key and a pair per queued edge
-    only. A query consults only the distinct instances at the threshold
-    level just below the current minimum degree, skips incomplete ones, and
-    never answers below the true cut value; the minimum degree is an
-    always-valid fallback. Statistics beyond the update and query counts
-    are read from the views on demand.
-    A simple graph's minimum degree is at most n - 1, so every level built
-    is one a query can read (there are none at n = 1).
+    i = 0..floor(log2(n-1)). Where p = center_probability(n, 2^i,
+    center_coeff) is below 1, a random.Random seeded from (seed, c, i) keeps
+    each vertex in id order with probability p and feeds the samplers of a
+    StarInstance on those centers; one shared identity instance, which never
+    samples, fills every cell whose centers are all of V. The view table
+    maps each distinct instance to its packing, 2^(i+1) forests deep for
+    the deepest level i it fills, or to None in direct mode; a level j query
+    reads the union of the first 2^(j+1) forests, or in direct mode the
+    quotient itself. An update is applied once to the one DynamicGraph
+    every instance reads, then reaches every view with one canonical key
+    and one relabel budget: relabel_budget(n, delta, budget_coeff) in
+    either mode, with delta read once, or no bound, with delta unread, when
+    every view is the identity, which never queues a relabel. A query runs a
+    static cut on each complete distinct instance at the level just below
+    the minimum degree and never answers below the true cut value; the
+    minimum degree is an always-valid fallback. A simple graph's minimum
+    degree is at most n - 1, so a query can read every level built (there
+    are none at n = 1).
     """
 
     def __init__(self, n: int, config: EngineConfig | None = None) -> None:
@@ -91,7 +93,6 @@ class Engine:
         else:
             self.copies = self.config.copies
         self.graph = DynamicGraph(n)
-        packed = self.config.mode == MODE_PACKED
         everyone = frozenset(range(n))
         # Fills every cell whose centers are all of V; it never samples.
         identity = StarInstance(self.graph, everyone, None)
@@ -117,12 +118,13 @@ class Engine:
         # The view table: each distinct instance with its packing (None in
         # direct mode), as deep as the deepest level it fills, so a level i
         # cell reads the union of its first 2^(i+1) forests.
+        packed = self.config.mode == MODE_PACKED
         self._views: dict[StarInstance, ForestPacking | None] = {
             inst: ForestPacking(2 ** (i + 1), n, inst.centers) if packed else None
             for inst, i in deepest.items()
         }
         # an identity view never queues a relabel, so it needs no budget
-        self._throttled = not packed and any(inst is not identity for inst in deepest)
+        self._throttled = any(inst is not identity for inst in deepest)
         self.stats = EngineStats()
 
     def insert(self, e: EdgeKey) -> None:

@@ -331,11 +331,14 @@ DATA = Path(__file__).parent / "data"
     [("1", "packed", [], []), ("1", "direct", [], []),
      ("800", "packed", [], []), ("800", "direct", [], []),
      # a budget of one edge move per update leaves the relabel queues
-     # undrained, yet answers and witnesses match the full drain's
-     ("1", "direct", ["--cb", "0.0001"],
-      ["# queue_length=86",
-       "# completeness=1.0000,1.0000,1.0000,0.7500,0.0000"])],
-    ids=["1-packed", "1-direct", "800-packed", "800-direct", "1-direct-cb0.0001"],
+     # undrained in either mode, yet answers and witnesses match the full
+     # drain's; both modes hold the same views, so the same queues
+     *[("1", mode, ["--cb", "0.0001"],
+        ["# queue_length=86",
+         "# completeness=1.0000,1.0000,1.0000,0.7500,0.0000"])
+       for mode in ("direct", "packed")]],
+    ids=["1-packed", "1-direct", "800-packed", "800-direct", "1-direct-cb0.0001",
+         "1-packed-cb0.0001"],
 )
 def test_run_witnesses_match_recorded_output(capsys, cp, mode, extra, views):
     # dense32.txt is `dyncut gen --model dense-regular -n 32 --degree 10

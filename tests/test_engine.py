@@ -271,8 +271,7 @@ def test_stats_counters():
 def test_on_demand_stats(mode):
     # center probability min(1, log2(64) / 2^i): levels 0..2 are the
     # identity, levels 3..5 contract; a budget of at most 9 edge moves per
-    # update keeps direct mode's relabel queues from draining, while packed
-    # mode relabels eagerly and never keeps a queue
+    # update keeps the relabel queues from draining in either mode
     n = 64
     eng = Engine(n, _cfg(mode, copies=3, center_coeff=1.0, budget_coeff=1e-4))
     rng = random.Random(8)
@@ -290,24 +289,21 @@ def test_on_demand_stats(mode):
         rates = eng.completeness()
         assert len(rates) == eng.levels
         assert rates[:3] == [1.0] * 3
-        if mode == MODE_PACKED:
-            assert eng.queue_length() == 0
         queued += eng.queue_length() > 0
         incomplete += min(rates[3:]) < 1.0
-    if mode == MODE_DIRECT:
-        assert queued and incomplete
+    assert queued and incomplete
 
 
 @pytest.mark.parametrize(
     ("mode", "center_coeff", "reads"),
-    [(MODE_DIRECT, 1.0, 1), (MODE_DIRECT, None, 0), (MODE_PACKED, 1.0, 0)],
+    [(MODE_DIRECT, 1.0, 1), (MODE_DIRECT, None, 0), (MODE_PACKED, 1.0, 1)],
     ids=["direct-contracting", "direct-identity", "packed"],
 )
 def test_min_degree_read_once_per_update(monkeypatch, mode, center_coeff, reads):
     # The relabel budget depends only on n and the graph's minimum degree,
-    # so a direct-mode update with contracting views reads that degree once
-    # however many views have a queue to drain; identity views never queue
-    # and packed mode drains in full, so neither reads it at all. At
+    # so an update with contracting views reads that degree once in either
+    # mode, however many views have a queue to drain; identity views never
+    # queue, so an engine of identity views only never reads it. At
     # center_coeff 1 levels 3..5 contract, and budget_coeff 1e-4 keeps their
     # queues from draining.
     n = 64
@@ -326,17 +322,18 @@ def test_min_degree_read_once_per_update(monkeypatch, mode, center_coeff, reads)
         eng.update(e, sign)
         assert reads_made[0] - before == reads
         queued += eng.queue_length() > 0
-    assert (queued > 0) == (mode == MODE_DIRECT and center_coeff is not None)
+    assert (queued > 0) == (center_coeff is not None)
 
 
-def test_relabel_queues_hold_live_edges_once():
+@pytest.mark.parametrize("mode", MODES)
+def test_relabel_queues_hold_live_edges_once(mode):
     # a budget of one edge move per update leaves the relabel queues
     # undrained on most of these 3,000 updates, while representative changes
     # keep adding the same edges and deletions kill queued ones; a queue
     # that kept an edge per change, or kept dead edges, would outgrow the
     # graph (the 160 live edges here)
     stream = generate_stream("dense-regular", 32, 3000, 0, degree=10)
-    eng = Engine(32, _cfg(MODE_DIRECT, copies=4, seed=3, center_coeff=1.0,
+    eng = Engine(32, _cfg(mode, copies=4, seed=3, center_coeff=1.0,
                           budget_coeff=1e-4))
     queued = 0
     for ev in stream.events:
@@ -407,8 +404,8 @@ def test_default_coefficient_builds_the_identity_only(monkeypatch, n):
 @pytest.mark.parametrize("mode", MODES)
 def test_views_store_no_pair_outside_the_queue(mode):
     # A view stores a key and a representative pair only for a queued,
-    # stale edge. At n = 32 every budget, unbounded in packed mode and at
-    # least 645 moves in direct mode, exceeds the 496 possible edges, so
+    # stale edge. At n = 32 every budget, at least 645 moves in either
+    # mode, exceeds the 496 possible edges, so
     # each update drains every queue it fills and no view keeps any pair;
     # at center_coeff 1 levels 3..4 contract, so the four copies hold eight
     # contracting views beside the shared identity view, and their
