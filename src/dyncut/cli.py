@@ -50,24 +50,15 @@ def _format_cut(value: int, edges) -> str:
     return " ".join([str(value), *tokens]) if tokens else str(value)
 
 
-def _check_stream_flags(args: argparse.Namespace, sizes: list[int],
-                        **least: int) -> None:
-    """Reject generator flags that would fail or quietly yield another stream."""
-    for name, bound in {"steps": 0, "query_every": 0, **least}.items():
-        value = getattr(args, name)
-        if value < bound:
-            flag = name.replace("_", "-")
-            raise UsageError(f"--{flag} must be at least {bound}, got {value}")
-    if args.model != "dense-regular" and args.degree is not None:
-        raise UsageError("--degree applies to the dense-regular model only")
-    for n in sizes:
-        if n < 2:
-            raise UsageError(f"streams need at least two vertices, got {n}")
-        if args.model == "dense-regular":
-            try:
-                dense_regular_degree(n, args.degree)
-            except ValueError as exc:
-                raise UsageError(f"--{exc}") from None
+def _generate(args: argparse.Namespace, n: int, seed: int,
+              query_kind: str = QUERY_VALUE) -> UpdateStream:
+    """The stream the generator flags ask for; one it rejects is a usage error."""
+    try:
+        return generate_stream(args.model, n, args.steps, seed,
+                               query_every=args.query_every, degree=args.degree,
+                               query_kind=query_kind)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _update(engine: Engine, stream: UpdateStream, i: int) -> None:
@@ -80,16 +71,8 @@ def _update(engine: Engine, stream: UpdateStream, i: int) -> None:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    _check_stream_flags(args, [args.n])
-    stream = generate_stream(
-        args.model,
-        args.n,
-        args.steps,
-        args.seed,
-        query_every=args.query_every,
-        degree=args.degree,
-        query_kind=QUERY_CUT if args.cut_queries else QUERY_VALUE,
-    )
+    stream = _generate(args, args.n, args.seed,
+                       QUERY_CUT if args.cut_queries else QUERY_VALUE)
     text = render_stream(stream)
     if args.output == "-":
         sys.stdout.write(text)
@@ -219,9 +202,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
     except ValueError:
         raise UsageError(f"--sizes must list integers, got {args.sizes!r}") from None
     # a bench without updates has no update time to report
-    _check_stream_flags(args, sizes, steps=1, reps=1)
+    for name, value in (("steps", args.steps), ("reps", args.reps)):
+        if value < 1:
+            raise UsageError(f"--{name} must be at least 1, got {value}")
+    # every stream is drawn before the header, so a rejected one prints nothing
+    runs = [(n, [_generate(args, n, args.seed + rep) for rep in range(args.reps)])
+            for n in sizes]
     print("n mode mean_update_us median_update_us mean_query_ms")
-    for n in sizes:
+    for n, streams in runs:
         if args.model == "dense-regular":
             warmup = dense_regular_warmup(n, dense_regular_degree(n, args.degree))
             if warmup > args.steps:
@@ -229,15 +217,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                       " timed update is a warm-up insertion", file=sys.stderr)
         update_times: list[float] = []
         query_times: list[float] = []
-        for rep in range(args.reps):
-            stream = generate_stream(
-                args.model,
-                n,
-                args.steps,
-                args.seed + rep,
-                query_every=args.query_every,
-                degree=args.degree,
-            )
+        for stream in streams:
             engine = _new_engine(n, _engine_config(args))
             for ev in stream.events:
                 t0 = time.perf_counter()

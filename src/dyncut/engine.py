@@ -28,7 +28,7 @@ class EngineConfig:
     """Engine settings; Engine raises ValueError on a value out of range.
 
     mode: "packed" (default) reads views through forest packings, "direct"
-    reads their quotients. copies: independent copies, at least 1; None
+    reads their quotients. copies: independent copies, an int >= 1; None
     (default) means ceil(5 * log2(max(n, 2))). seed: any int (default 0).
     center_coeff (default 800) and budget_coeff (default 1), each finite
     and positive, scale center_probability and relabel_budget; budget_coeff
@@ -88,6 +88,8 @@ class Engine:
         self.levels = (n - 1).bit_length()
         if self.config.copies is None:
             self.copies = math.ceil(5 * math.log2(max(n, 2)))
+        elif not isinstance(self.config.copies, int):
+            raise ValueError(f"copies must be an integer, got {self.config.copies!r}")
         elif self.config.copies < 1:
             raise ValueError(f"copies must be positive, got {self.config.copies}")
         else:

@@ -229,11 +229,26 @@ def generate_stream(
     degree: int | None = None,
     query_kind: str = QUERY_VALUE,
 ) -> UpdateStream:
-    """Seeded stream of legal updates; optionally a query every few updates."""
+    """Seeded stream of `steps` legal updates on vertices 0..n-1.
+
+    model: one of MODELS. n: at least 2. steps: at least 0. seed: any
+    integer; the same arguments give the same stream. query_every: at
+    least 0; a query of `query_kind` (QUERY_VALUE or QUERY_CUT) follows
+    every query_every-th update, and 0 asks none. degree: the
+    dense-regular floor, in 1..n-2, by default max(2, n // 4); the other
+    models take none. Each bad argument raises ValueError naming it
+    before any update is drawn.
+    """
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}, expected one of {MODELS}")
     if n < 2:
-        raise ValueError("streams need at least two vertices")
+        raise ValueError(f"streams need at least two vertices, got {n}")
+    for name, value in (("steps", steps), ("query_every", query_every)):
+        if value < 0:
+            raise ValueError(f"{name} must be at least 0, got {value}")
+    if query_kind not in (QUERY_VALUE, QUERY_CUT):
+        raise ValueError(f"query_kind must be {QUERY_VALUE!r} or {QUERY_CUT!r},"
+                         f" got {query_kind!r}")
     if model != "dense-regular" and degree is not None:
         raise ValueError("degree applies to the dense-regular model only")
     state = _ReplayState(n, random.Random(seed))

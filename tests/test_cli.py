@@ -204,13 +204,15 @@ def test_verify_rejects_witness_that_does_not_cut(tmp_path, capsys, monkeypatch,
 
 def test_bench_emits_table(capsys):
     code, out, _ = _run(
-        capsys, "bench", "--sizes", "16", "--reps", "1", "--steps", "120",
+        capsys, "bench", "--sizes", "16,16", "--reps", "1", "--steps", "120",
         "--mode", "direct", "--copies", "2",
     )
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0].startswith("n mode")
-    assert lines[1].startswith("16 direct")
+    # one row per listed size, a repeated size included
+    assert len(lines) == 3
+    assert all(line.startswith("16 direct") for line in lines[1:])
 
 
 def test_bench_takes_engine_flags(capsys):
@@ -286,13 +288,13 @@ def test_bad_copies_exit_two(tmp_path, capsys, command):
     [
         (["gen", "-n", "1", "--steps", "5"],
          "streams need at least two vertices, got 1"),
-        (["gen", "-n", "8", "--steps", "-3"], "--steps must be at least 0, got -3"),
+        (["gen", "-n", "8", "--steps", "-3"], "steps must be at least 0, got -3"),
         (["gen", "-n", "8", "--steps", "5", "--query-every", "-1"],
-         "--query-every must be at least 0, got -1"),
+         "query_every must be at least 0, got -1"),
         (["gen", "--model", "dense-regular", "-n", "8", "--steps", "40",
-          "--degree", "9"], "--degree must be in 1..6, got 9"),
+          "--degree", "9"], "degree must be in 1..6, got 9"),
         (["gen", "--model", "dense-regular", "-n", "8", "--steps", "40",
-          "--degree", "7"], "--degree must be in 1..6, got 7"),
+          "--degree", "7"], "degree must be in 1..6, got 7"),
         (["bench", "--sizes", "1"], "streams need at least two vertices, got 1"),
         (["bench", "--sizes", "8", "--reps", "0"], "--reps must be at least 1, got 0"),
         (["bench", "--sizes", "8", "--steps", "0"],
@@ -301,14 +303,14 @@ def test_bad_copies_exit_two(tmp_path, capsys, command):
          "--sizes must list integers, got 'a'"),
         # the default degree max(2, n // 4) is n - 1 at n = 3
         (["gen", "--model", "dense-regular", "-n", "3", "--steps", "12"],
-         "--degree must be in 1..1, got the default 2 at n = 3"),
+         "degree must be in 1..1, got the default 2 at n = 3"),
         (["bench", "--sizes", "3"],
-         "--degree must be in 1..1, got the default 2 at n = 3"),
+         "degree must be in 1..1, got the default 2 at n = 3"),
         # only dense-regular reads a degree; the other models would ignore it
         (["gen", "-n", "10", "--steps", "20", "--degree", "5"],
-         "--degree applies to the dense-regular model only"),
+         "degree applies to the dense-regular model only"),
         (["bench", "--sizes", "8", "--model", "sliding-window", "--degree", "2"],
-         "--degree applies to the dense-regular model only"),
+         "degree applies to the dense-regular model only"),
     ],
     ids=["gen-n1", "gen-negative-steps", "gen-negative-query-every",
          "gen-degree-above-n", "gen-degree-complete", "bench-n1", "bench-reps0",

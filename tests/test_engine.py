@@ -240,7 +240,7 @@ def test_rejects_bad_config():
         Engine(0)
     with pytest.raises(ValueError):
         Engine(4, EngineConfig(mode="sideways"))
-    for copies in (0, -2):
+    for copies in (0, -2, 2.5):
         with pytest.raises(ValueError):
             Engine(8, EngineConfig(copies=copies))
     # a non-positive coefficient draws no centers or never drains the

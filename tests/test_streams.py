@@ -159,9 +159,25 @@ def test_dense_regular_rejects_degree_it_cannot_keep(model, n, degree, message):
         generate_stream(model, n, 12, seed=0, degree=degree)
 
 
-def test_unknown_model_rejected():
-    with pytest.raises(ValueError):
-        generate_stream("zigzag", 8, 10, seed=0)
+@pytest.mark.parametrize(
+    ("model", "n", "kwargs", "message"),
+    [("erdos-insert-delete", 1, {}, "at least two vertices, got 1"),
+     ("erdos-insert-delete", 8, {"steps": -1}, "steps must be at least 0, got -1"),
+     ("erdos-insert-delete", 8, {"query_every": -1},
+      "query_every must be at least 0, got -1"),
+     ("erdos-insert-delete", 8, {"query_every": 2, "query_kind": "+"},
+      r"query_kind must be '\?' or '\?e', got '\+'"),
+     ("zigzag", 8, {}, "unknown model 'zigzag'")],
+    ids=["n1", "negative-steps", "negative-query-every", "update-query-kind",
+         "unknown-model"],
+)
+def test_generate_stream_rejects_bad_argument(model, n, kwargs, message):
+    # each is caught where it enters: a negative query_every would ask a
+    # query after every |query_every|-th update, a negative steps would give
+    # an empty stream, and an update kind would give queries no edge
+    args = {"steps": 10, "seed": 0, **kwargs}
+    with pytest.raises(ValueError, match=message):
+        generate_stream(model, n, **args)
 
 
 def test_cut_query_kind():
