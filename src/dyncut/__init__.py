@@ -1,7 +1,7 @@
 """Fully dynamic global minimum cut via star contraction and forest packings."""
 
 from .contraction import StarInstance
-from .engine import MODE_DIRECT, MODE_PACKED, Engine, EngineConfig, EngineStats
+from .engine import MODE_DIRECT, MODE_PACKED, Engine, EngineConfig
 from .forest import UNTOUCHED, DeleteResult, DynamicForest
 from .graph_core import (
     DuplicateEdgeError,
@@ -37,7 +37,6 @@ __all__ = [
     "EdgeKey",
     "Engine",
     "EngineConfig",
-    "EngineStats",
     "Event",
     "ForestPacking",
     "GraphError",

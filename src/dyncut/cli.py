@@ -1,4 +1,4 @@
-"""Command line front end: generate, run, verify, and benchmark streams."""
+"""Command line front end: generate, run (and time), and verify streams."""
 
 from __future__ import annotations
 
@@ -20,8 +20,6 @@ from .streams import (
     QUERY_VALUE,
     StreamFormatError,
     UpdateStream,
-    dense_regular_degree,
-    dense_regular_warmup,
     generate_stream,
     parse_stream,
     render_stream,
@@ -50,17 +48,6 @@ def _format_cut(value: int, edges) -> str:
     return " ".join([str(value), *tokens]) if tokens else str(value)
 
 
-def _generate(args: argparse.Namespace, n: int, seed: int,
-              query_kind: str = QUERY_VALUE) -> UpdateStream:
-    """The stream the generator flags ask for; one it rejects is a usage error."""
-    try:
-        return generate_stream(args.model, n, args.steps, seed,
-                               query_every=args.query_every, degree=args.degree,
-                               query_kind=query_kind)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-
 def _update(engine: Engine, stream: UpdateStream, i: int) -> None:
     """Apply the stream's i-th event, an update, naming its line if illegal."""
     ev = stream.events[i]
@@ -71,8 +58,13 @@ def _update(engine: Engine, stream: UpdateStream, i: int) -> None:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    stream = _generate(args, args.n, args.seed,
-                       QUERY_CUT if args.cut_queries else QUERY_VALUE)
+    try:
+        stream = generate_stream(
+            args.model, args.n, args.steps, args.seed,
+            query_every=args.query_every, degree=args.degree,
+            query_kind=QUERY_CUT if args.cut_queries else QUERY_VALUE)
+    except ValueError as exc:  # a generator flag generate_stream rejects
+        raise UsageError(str(exc)) from None
     text = render_stream(stream)
     if args.output == "-":
         sys.stdout.write(text)
@@ -85,24 +77,37 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     stream = _read_stream(args.stream)
     engine = _new_engine(stream.n, _engine_config(args))
+    # seconds per engine call; printing an answer is not timed
+    update_s: list[float] = []
+    query_s: list[float] = []
     started = time.perf_counter()
     for i, ev in enumerate(stream.events):
+        t0 = time.perf_counter()
         if ev.kind in (INSERT, DELETE):
             _update(engine, stream, i)
+            update_s.append(time.perf_counter() - t0)
         elif ev.kind == QUERY_VALUE:
-            print(engine.query_value())
+            value = engine.query_value()
+            query_s.append(time.perf_counter() - t0)
+            print(value)
         else:
             cut = engine.query_cut()
+            query_s.append(time.perf_counter() - t0)
             print(_format_cut(cut.value, cut.cut_edges))
     elapsed = time.perf_counter() - started
-    stats = engine.stats
     # timing lives on stderr so stdout stays byte-identical across runs
-    print(f"# updates={stats.updates}", file=sys.stderr)
-    print(f"# queries={stats.queries}", file=sys.stderr)
+    print(f"# updates={len(update_s)}", file=sys.stderr)
+    print(f"# queries={len(query_s)}", file=sys.stderr)
     print(f"# copies={engine.copies}", file=sys.stderr)
     print(f"# mode={engine.config.mode}", file=sys.stderr)
-    if stats.updates:
-        print(f"# updates_per_s={stats.updates / elapsed:.1f}", file=sys.stderr)
+    if update_s:
+        print(f"# update_us_mean={statistics.mean(update_s) * 1e6:.1f}",
+              file=sys.stderr)
+        print(f"# update_us_p50={statistics.median(update_s) * 1e6:.1f}",
+              file=sys.stderr)
+    if query_s:
+        print(f"# query_ms_mean={statistics.mean(query_s) * 1e3:.2f}",
+              file=sys.stderr)
     # the views' state at the end of the run
     print(f"# queue_length={engine.queue_length()}", file=sys.stderr)
     joined = ",".join(f"{r:.4f}" for r in engine.completeness())
@@ -196,49 +201,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    try:
-        sizes = [int(tok) for tok in args.sizes.split(",")]
-    except ValueError:
-        raise UsageError(f"--sizes must list integers, got {args.sizes!r}") from None
-    # a bench without updates has no update time to report
-    for name, value in (("steps", args.steps), ("reps", args.reps)):
-        if value < 1:
-            raise UsageError(f"--{name} must be at least 1, got {value}")
-    # every stream is drawn before the header, so a rejected one prints nothing
-    runs = [(n, [_generate(args, n, args.seed + rep) for rep in range(args.reps)])
-            for n in sizes]
-    print("n mode mean_update_us median_update_us mean_query_ms")
-    for n, streams in runs:
-        if args.model == "dense-regular":
-            warmup = dense_regular_warmup(n, dense_regular_degree(n, args.degree))
-            if warmup > args.steps:
-                print(f"# n={n} warm-up {warmup} > --steps {args.steps}: every"
-                      " timed update is a warm-up insertion", file=sys.stderr)
-        update_times: list[float] = []
-        query_times: list[float] = []
-        for stream in streams:
-            engine = _new_engine(n, _engine_config(args))
-            for ev in stream.events:
-                t0 = time.perf_counter()
-                if ev.kind == INSERT:
-                    engine.insert(ev.edge)
-                elif ev.kind == DELETE:
-                    engine.delete(ev.edge)
-                else:
-                    engine.query_value()
-                t1 = time.perf_counter()
-                if ev.kind in (INSERT, DELETE):
-                    update_times.append(t1 - t0)
-                else:
-                    query_times.append(t1 - t0)
-        mean_u = statistics.mean(update_times) * 1e6
-        med_u = statistics.median(update_times) * 1e6
-        mean_q = statistics.mean(query_times) * 1e3 if query_times else 0.0
-        print(f"{n} {args.mode} {mean_u:.1f} {med_u:.1f} {mean_q:.2f}")
-    return 0
-
-
 def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--mode", choices=(MODE_PACKED, MODE_DIRECT),
                         default=MODE_PACKED)
@@ -288,16 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
                         f" brute up to {BRUTE_FORCE_LIMIT - 4} vertices"
                         " (default: auto)")
     verify.set_defaults(func=cmd_verify)
-
-    bench = sub.add_parser("bench", help="time updates and queries across sizes")
-    bench.add_argument("--sizes", default="64,128,256")
-    bench.add_argument("--reps", type=int, default=3)
-    bench.add_argument("--model", choices=MODELS, default="dense-regular")
-    bench.add_argument("--degree", type=int, default=None)
-    bench.add_argument("--steps", type=int, default=2000)
-    bench.add_argument("--query-every", type=int, default=100)
-    _add_engine_flags(bench)
-    bench.set_defaults(func=cmd_bench, mode=MODE_DIRECT)
 
     return parser
 

@@ -44,12 +44,6 @@ class EngineConfig:
     report_edges: bool = False
 
 
-@dataclass
-class EngineStats:
-    updates: int = 0
-    queries: int = 0
-
-
 class Engine:
     """Maintains the exact global minimum cut value under edge updates.
 
@@ -127,7 +121,6 @@ class Engine:
         }
         # an identity view never queues a relabel, so it needs no budget
         self._throttled = any(inst is not identity for inst in deepest)
-        self.stats = EngineStats()
 
     def insert(self, e: EdgeKey) -> None:
         self.update(e, 1)
@@ -152,7 +145,6 @@ class Engine:
             if packing is not None:
                 for quotient_edge, d in deltas:
                     packing.apply_delta(quotient_edge, d)
-        self.stats.updates += 1
 
     # -- on-demand stats -------------------------------------------------
 
@@ -200,14 +192,12 @@ class Engine:
 
     def query_value(self) -> int:
         """Exact minimum cut value (0 when the graph is disconnected)."""
-        self.stats.queries += 1
         return self._evaluate()[0]
 
     def query_cut(self) -> CutResult:
         """Minimum cut value plus a witness edge set and side."""
         if not self.config.report_edges:
             raise RuntimeError("cut reporting is disabled; set report_edges")
-        self.stats.queries += 1
         value, source, side = self._evaluate()
         # Either answer names a side of the input graph and the witness is
         # the input edges crossing it; a complete instance's quotient is the

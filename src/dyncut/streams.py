@@ -35,9 +35,6 @@ class UpdateStream:
     # source line per event, for replay diagnostics; not part of equality
     lines: list[int] = field(default_factory=list, compare=False)
 
-    def update_count(self) -> int:
-        return sum(1 for e in self.events if e.kind in (INSERT, DELETE))
-
 
 def parse_stream(text: str) -> UpdateStream:
     n: int | None = None
@@ -212,12 +209,6 @@ def dense_regular_degree(n: int, degree: int | None = None) -> int:
         got = floor if degree is not None else f"the default {floor} at n = {n}"
         raise ValueError(f"degree must be in 1..{n - 2}, got {got}")
     return floor
-
-
-def dense_regular_warmup(n: int, degree: int) -> int:
-    """Insertions the dense-regular warm-up makes: a circulant of
-    ceil(degree / 2) offsets, n distinct edges each since degree <= n - 2."""
-    return n * ((degree + 1) // 2)
 
 
 def generate_stream(

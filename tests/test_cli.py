@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import io
 import os
+import re
 import subprocess
 import sys
 from collections import deque
@@ -10,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from dyncut import CutResult, DynamicGraph, Engine, generate_stream
+from dyncut import CutResult, Engine
 from dyncut.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -48,9 +50,31 @@ def test_run_cycle_value(tmp_path, capsys):
     code, out, err = _run(capsys, "run", str(path), "--copies", "4")
     assert code == 0
     assert out == "2\n"
-    assert "# updates=5" in err
+    lines = err.splitlines()
+    assert "# updates=5" in lines
+    assert "# queries=1" in lines
+    # each engine call is timed, not the printing; no rate is read off a
+    # wall time that holds both
+    for key, decimals in (("update_us_mean", 1), ("update_us_p50", 1),
+                          ("query_ms_mean", 2)):
+        [line] = [x for x in lines if x.startswith(f"# {key}=")]
+        assert re.fullmatch(rf"# {key}=\d+\.\d{{{decimals}}}", line)
+    assert "# updates_per_s=" not in err
     assert "# queue_length=" in err
     assert "# completeness=" in err
+
+
+def test_run_reads_stdin(tmp_path, capsys, monkeypatch):
+    # `dyncut run -` answers the same stream from stdin as from a file
+    path = tmp_path / "s.txt"
+    _run(capsys, "gen", "--n", "10", "--steps", "60", "--seed", "3",
+         "--query-every", "6", "--cut-queries", "-o", str(path))
+    _, from_file, _ = _run(capsys, "run", str(path), "--copies", "4")
+    monkeypatch.setattr(sys, "stdin", io.StringIO(path.read_text()))
+    code, from_stdin, _ = _run(capsys, "run", "-", "--copies", "4")
+    assert code == 0
+    assert from_stdin == from_file
+    assert from_file.count("\n") == 10
 
 
 def test_run_identical_stdout(tmp_path, capsys):
@@ -202,53 +226,6 @@ def test_verify_rejects_witness_that_does_not_cut(tmp_path, capsys, monkeypatch,
     assert "MISMATCH at query 1: expected 3" in err
 
 
-def test_bench_emits_table(capsys):
-    code, out, _ = _run(
-        capsys, "bench", "--sizes", "16,16", "--reps", "1", "--steps", "120",
-        "--mode", "direct", "--copies", "2",
-    )
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0].startswith("n mode")
-    # one row per listed size, a repeated size included
-    assert len(lines) == 3
-    assert all(line.startswith("16 direct") for line in lines[1:])
-
-
-def test_bench_takes_engine_flags(capsys):
-    # the shared engine flags reach bench, so it can time contracting views
-    # and a throttled relabel drain; the mode stays direct by default
-    code, out, _ = _run(
-        capsys, "bench", "--sizes", "16", "--steps", "200", "--reps", "1",
-        "--cp", "1", "--cb", "0.0001",
-    )
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert len(lines) == 2
-    assert lines[1].startswith("16 direct")
-
-
-@pytest.mark.parametrize(("steps", "noted"), [(47, True), (48, False)])
-def test_bench_notes_a_run_inside_the_warm_up(capsys, steps, noted):
-    # at n = 16 and degree 5 the warm-up circulant has 3 offsets, 48 edges
-    code, out, err = _run(
-        capsys, "bench", "--sizes", "16", "--reps", "1", "--degree", "5",
-        "--steps", str(steps), "--copies", "2",
-    )
-    assert code == 0
-    assert [line.split()[:2] for line in out.strip().splitlines()] == [
-        ["n", "mode"], ["16", "direct"]]
-    note = f"# n=16 warm-up 48 > --steps {steps}: every timed update is a" \
-        " warm-up insertion\n"
-    assert err == (note if noted else "")
-    # the note's count is the generator's: its circulant, 6-regular at
-    # degree 5, needs all 48 insertions
-    graph = DynamicGraph(16)
-    for ev in generate_stream("dense-regular", 16, steps, 0, degree=5).events:
-        graph.insert_edge(ev.edge)
-    assert (graph.min_degree() < 6) == noted
-
-
 def test_run_into_reader_that_closes_early(tmp_path):
     # 120 kB of answers outgrow the pipe's buffer, so the run is still
     # writing after the reader has taken one line and closed its end
@@ -269,17 +246,13 @@ def test_run_into_reader_that_closes_early(tmp_path):
     assert b"BrokenPipeError" not in err
 
 
-@pytest.mark.parametrize("command", ["run", "verify", "bench"])
+@pytest.mark.parametrize("command", ["run", "verify"])
 def test_bad_copies_exit_two(tmp_path, capsys, command):
     path = tmp_path / "c5.txt"
     path.write_text(_cycle_stream(5))
-    argv = [command, "--copies", "-2"]
-    if command == "bench":
-        argv += ["--sizes", "8", "--reps", "1", "--steps", "10"]
-    else:
-        argv.append(str(path))
-    code, _, err = _run(capsys, *argv)
+    code, out, err = _run(capsys, command, "--copies", "-2", str(path))
     assert code == 2
+    assert out == ""
     assert err == "dyncut: copies must be positive, got -2\n"
 
 
@@ -295,27 +268,16 @@ def test_bad_copies_exit_two(tmp_path, capsys, command):
           "--degree", "9"], "degree must be in 1..6, got 9"),
         (["gen", "--model", "dense-regular", "-n", "8", "--steps", "40",
           "--degree", "7"], "degree must be in 1..6, got 7"),
-        (["bench", "--sizes", "1"], "streams need at least two vertices, got 1"),
-        (["bench", "--sizes", "8", "--reps", "0"], "--reps must be at least 1, got 0"),
-        (["bench", "--sizes", "8", "--steps", "0"],
-         "--steps must be at least 1, got 0"),
-        (["bench", "--sizes", "a"],
-         "--sizes must list integers, got 'a'"),
         # the default degree max(2, n // 4) is n - 1 at n = 3
         (["gen", "--model", "dense-regular", "-n", "3", "--steps", "12"],
-         "degree must be in 1..1, got the default 2 at n = 3"),
-        (["bench", "--sizes", "3"],
          "degree must be in 1..1, got the default 2 at n = 3"),
         # only dense-regular reads a degree; the other models would ignore it
         (["gen", "-n", "10", "--steps", "20", "--degree", "5"],
          "degree applies to the dense-regular model only"),
-        (["bench", "--sizes", "8", "--model", "sliding-window", "--degree", "2"],
-         "degree applies to the dense-regular model only"),
     ],
     ids=["gen-n1", "gen-negative-steps", "gen-negative-query-every",
-         "gen-degree-above-n", "gen-degree-complete", "bench-n1", "bench-reps0",
-         "bench-steps0", "bench-sizes-not-integer", "gen-default-degree-n3",
-         "bench-default-degree-n3", "gen-degree-erdos", "bench-degree-window"],
+         "gen-degree-above-n", "gen-degree-complete", "gen-default-degree-n3",
+         "gen-degree-erdos"],
 )
 def test_bad_stream_flags_exit_two(capsys, argv, message):
     # rejected before any output, not with a traceback and exit status 1

@@ -106,7 +106,7 @@ def test_generator_reproduces_recorded_stream():
 
 def test_generator_update_count():
     s = generate_stream("sliding-window", 10, 250, seed=1, query_every=10)
-    assert s.update_count() == 250
+    assert sum(1 for e in s.events if e.kind in (INSERT, DELETE)) == 250
     assert sum(1 for e in s.events if e.kind == QUERY_VALUE) == 25
 
 
