@@ -40,10 +40,14 @@ class StarInstance:
     cell's threshold) and hands in the random source the samplers draw
     their priorities from. Every non-center tracks its center neighbors in
     a StableSampler and is merged into the sampled one; centers represent
-    themselves. The instance keeps the resulting weighted quotient graph
-    incrementally: every live edge is counted, in the quotient weights or
-    in the unmapped counter, under one pair of endpoint representatives,
-    and a quotient edge's preimage is read from those pairs on demand.
+    themselves. A table of n entries holds every vertex's representative:
+    a center's own id, a non-center's sampled center, or None while it has
+    no center neighbor; an entry is written only when its sampler's sample
+    changes, and every read of a representative indexes the table. The
+    instance keeps the resulting weighted quotient graph incrementally:
+    every live edge is counted, in the quotient weights or in the unmapped
+    counter, under one pair of endpoint representatives, and a quotient
+    edge's preimage is read from those pairs on demand.
 
     Relabeling is lazy and keeps one invariant: an edge outside the
     relabel queue is counted under its endpoints' current representatives,
@@ -65,6 +69,10 @@ class StarInstance:
         self._rng = rng  # None only where no vertex needs a sampler
         self.centers = centers
         self._samplers: dict[int, StableSampler] = {}
+        # each vertex's representative, kept equal to its sampler's sample
+        self._rep: list[int | None] = [
+            v if v in centers else None for v in range(graph.n)
+        ]
         self._contracted = WeightedGraph(self.centers)
         self._unmapped = 0
         # stale live edges, insertion-ordered, each with the pair it is
@@ -76,10 +84,7 @@ class StarInstance:
     # -- representatives ----------------------------------------------------
 
     def representative(self, v: int) -> int | None:
-        if v in self.centers:
-            return v
-        sampler = self._samplers.get(v)
-        return sampler.current() if sampler is not None else None
+        return self._rep[v]
 
     def _sampler(self, v: int) -> StableSampler:
         s = self._samplers.get(v)
@@ -97,10 +102,10 @@ class StarInstance:
         """Live edges counted under the quotient edge c, named by its
         canonical key: a queued edge under its queued pair, any other under
         its endpoints' current representatives."""
-        queue, rep = self._queue, self.representative
+        queue, rep = self._queue, self._rep
         return frozenset(
             f for f in self.graph.edges()
-            if (queue.get(f) or (rep(f[0]), rep(f[1]))) in (c, c[::-1])
+            if (queue.get(f) or (rep[f[0]], rep[f[1]])) in (c, c[::-1])
         )
 
     def is_complete(self) -> bool:
@@ -115,55 +120,60 @@ class StarInstance:
 
     # -- updates -------------------------------------------------------------
 
-    def apply_update(self, key: EdgeKey, sign: int,
-                     budget: float) -> list[tuple[EdgeKey, int]]:
+    def apply_update(self, key: EdgeKey, sign: int, budget: float,
+                     deltas: dict[EdgeKey, int] | None = None,
+                     ) -> list[tuple[EdgeKey, int]]:
         """Apply one edge update; returns net quotient weight deltas.
 
         key is the edge's canonical key (edge_key order) and sign is +1 for
         insertion or -1 for deletion; the caller has validated both and has
-        already applied the update to the graph. The returned list pairs
+        already applied the update to the graph. At most budget queued
+        edges are drained. Deltas are recorded only when the caller hands
+        in a dict, which should be empty: the returned list then pairs
         quotient edge keys with the net weight change this update caused,
-        including the queued edges drained from the queue, at most budget
-        of them.
+        drained edges included. Without one the list is empty.
         """
-        deltas: dict[EdgeKey, int] = {}
-        queue, rep = self._queue, self.representative
+        queue, rep = self._queue, self._rep
         u, v = key
         if sign == -1:  # read before the sampler update below moves a rep
-            counted = queue.pop(key, None) or (rep(u), rep(v))
+            counted = queue.pop(key, None) or (rep[u], rep[v])
         u_center = u in self.centers
         if u_center != (v in self.centers):
             center, other = (u, v) if u_center else (v, u)
             sampler = self._sampler(other)
-            before = sampler.current()
             changed = sampler.insert(center) if sign == 1 else sampler.remove(center)
             if changed:  # other's unqueued edges are still counted under before
+                before = rep[other]
+                rep[other] = sampler.current()
                 for x in self.graph.neighbors(other):
                     f = (other, x) if other < x else (x, other)
                     if f not in queue:
-                        r = rep(x)
+                        r = rep[x]
                         queue[f] = (before, r) if other < x else (r, before)
         if sign == 1:  # the fill may have queued it, but it was never counted
             queue.pop(key, None)
-            self._retarget(None, (rep(u), rep(v)), deltas)
+            self._retarget(None, (rep[u], rep[v]), deltas)
         else:
             self._retarget(counted, None, deltas)
         if queue:
             self._drain(budget, deltas)
+        if deltas is None:
+            return []
         return [(c, d) for c, d in deltas.items() if d != 0]
 
-    def _drain(self, budget: float, deltas: dict[EdgeKey, int]) -> None:
-        queue, rep = self._queue, self.representative
+    def _drain(self, budget: float, deltas: dict[EdgeKey, int] | None) -> None:
+        queue, rep = self._queue, self._rep
         while budget > 0 and queue:
             f, old = queue.popitem()
             budget -= 1
-            new = (rep(f[0]), rep(f[1]))
+            new = (rep[f[0]], rep[f[1]])
             if new != old:
                 self._retarget(old, new, deltas)
 
-    def _retarget(self, old, new, deltas: dict[EdgeKey, int]) -> None:
+    def _retarget(self, old, new, deltas: dict[EdgeKey, int] | None) -> None:
         """Move one edge's count from pair old to pair new (None: not
-        counted), keeping the quotient weights and unmapped counter aligned."""
+        counted), keeping the quotient weights and unmapped counter aligned,
+        and record the weight changes in deltas unless it is None."""
         for pair, d in ((old, -1), (new, 1)):
             if pair is None:
                 continue
@@ -173,4 +183,5 @@ class StarInstance:
             elif a != b:
                 c = (a, b) if a < b else (b, a)
                 self._contracted.add_weight(c, d)
-                deltas[c] = deltas.get(c, 0) + d
+                if deltas is not None:
+                    deltas[c] = deltas.get(c, 0) + d

@@ -60,7 +60,9 @@ class Engine:
     every instance reads, then reaches every view with one canonical key
     and one relabel budget: relabel_budget(n, delta, budget_coeff) in
     either mode, with delta read once, or no bound, with delta unread, when
-    every view is the identity, which never queues a relabel. A query runs a
+    every view is the identity, which never queues a relabel. Only a view
+    with a packing is handed a dict to record its quotient deltas in, and
+    the packing applies them; a direct view records none. A query runs a
     static cut on each complete distinct instance at the level just below
     the minimum degree and never answers below the true cut value; the
     minimum degree is an always-valid fallback. A simple graph's minimum
@@ -141,9 +143,10 @@ class Engine:
             delta = self.graph.min_degree()
             budget = relabel_budget(self.n, delta, self.config.budget_coeff)
         for inst, packing in self._views.items():
-            deltas = inst.apply_update(key, sign, budget)
-            if packing is not None:
-                for quotient_edge, d in deltas:
+            if packing is None:  # nothing reads a direct view's deltas
+                inst.apply_update(key, sign, budget)
+            else:
+                for quotient_edge, d in inst.apply_update(key, sign, budget, {}):
                     packing.apply_delta(quotient_edge, d)
 
     # -- on-demand stats -------------------------------------------------

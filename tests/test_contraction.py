@@ -47,8 +47,9 @@ def _apply(inst: StarInstance, e, sign: int, budget_coeff=None, budget=math.inf)
 
     Without a budget coefficient the instance drains up to budget queued
     edges, by default its whole relabel queue; with one it drains the
-    relabel budget at the updated graph's minimum degree, as the
-    direct-mode engine hands it.
+    relabel budget at the updated graph's minimum degree, as the engine
+    hands it. The instance records its quotient deltas in a fresh dict, as
+    for a view with a packing, and returns them.
     """
     if sign == 1:
         inst.graph.insert_edge(e)
@@ -57,7 +58,18 @@ def _apply(inst: StarInstance, e, sign: int, budget_coeff=None, budget=math.inf)
     if budget_coeff is not None:
         graph = inst.graph
         budget = relabel_budget(graph.n, graph.min_degree(), budget_coeff)
-    return inst.apply_update(edge_key(*e), sign, budget)
+    return inst.apply_update(edge_key(*e), sign, budget, {})
+
+
+def _check_rep_table(inst: StarInstance) -> None:
+    """Every table entry is what the samplers say: a center itself, a
+    non-center its sampler's current element, or None without one."""
+    for v in range(inst.graph.n):
+        if v in inst.centers:
+            assert inst._rep[v] == v, v
+        else:
+            sampler = inst._samplers.get(v)
+            assert inst._rep[v] == (sampler.current() if sampler is not None else None), v
 
 
 def _recontract(inst: StarInstance) -> WeightedGraph:
@@ -72,6 +84,7 @@ def _recontract(inst: StarInstance) -> WeightedGraph:
 
 
 def _scan_consistency(inst: StarInstance) -> None:
+    _check_rep_table(inst)
     # the relabel invariant: the queue holds live edges only, and every live
     # edge is counted under its queued pair or, outside the queue, under its
     # endpoints' current representatives, so rebuilding the quotient weights
@@ -262,8 +275,8 @@ def test_eager_equals_full_lazy_drain(seed):
             graph.insert_edge(e)
             present.add(e)
         budget = relabel_budget(n, graph.min_degree())
-        assert eager.apply_update(e, sign, math.inf) == lazy.apply_update(
-            e, sign, budget
+        assert eager.apply_update(e, sign, math.inf, {}) == lazy.apply_update(
+            e, sign, budget, {}
         )
         assert eager.contracted_graph() == lazy.contracted_graph()
         assert lazy.queue_length() == 0 and not lazy.has_pending()
@@ -316,6 +329,36 @@ def test_lazy_tiny_budget_still_coherent(monkeypatch):
         _apply(inst, (0, 1), -1, coeff)
         check(inst)
     assert inst.contracted_graph() == _recontract(inst)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_rep_table_follows_samplers(seed):
+    # under a budget of one edge move per update the samplers move while
+    # queues stay undrained and non-centers gain and lose their last center,
+    # and the table must follow every sample the samplers hold, with or
+    # without a dict for the deltas
+    n = 24
+    inst = _star(n, threshold=8, center_coeff=1.0, seed=seed)
+    assert inst.centers != frozenset(range(n))
+    rng = random.Random(seed + 70)
+    present: set = set()
+    moved = 0
+    for step in range(600):
+        u, v = rng.sample(range(n), 2)
+        e = edge_key(u, v)
+        sign = -1 if e in present else 1
+        present ^= {e}
+        before = list(inst._rep)
+        if sign == 1:
+            inst.graph.insert_edge(e)
+        else:
+            inst.graph.delete_edge(e)
+        out = inst.apply_update(e, sign, 1, {} if step % 2 else None)
+        if step % 2 == 0:
+            assert out == []
+        _check_rep_table(inst)
+        moved += before != inst._rep
+    assert moved >= 20
 
 
 def _budgeted(inst: StarInstance, budget: float):

@@ -344,6 +344,29 @@ def test_relabel_queues_hold_live_edges_once(mode):
     assert queued > 1000  # the throttle binds
 
 
+def test_packed_and_direct_views_agree_under_a_binding_budget():
+    # only a view with a packing is handed a dict for its quotient deltas;
+    # recording them must change nothing the view holds, so with queues
+    # left undrained by a budget of one edge move per update, the packed
+    # and direct engines' views agree view by view, and each packing holds
+    # its view's quotient weights
+    stream = generate_stream("dense-regular", 32, 1500, 4, degree=10)
+    engines = [Engine(32, _cfg(mode, seed=4, center_coeff=1.0,
+                               budget_coeff=1e-4)) for mode in MODES]
+    for ev in stream.events:
+        for eng in engines:
+            eng.update(ev.edge, 1 if ev.kind == INSERT else -1)
+    packed, direct = (list(eng._views.items()) for eng in engines)
+    assert len(packed) == len(direct) > 1
+    assert sum(view.queue_length() for view, _ in direct) > 0
+    for (p, packing), (d, _) in zip(packed, direct):
+        assert p.centers == d.centers
+        assert p.contracted_graph() == d.contracted_graph()
+        assert p.queue_length() == d.queue_length()
+        assert ({e: w for e, w in packing.edges() if w}
+                == {e: w for e, w in p.contracted_graph().edges() if w})
+
+
 def _two_k4_bridge():
     return (list(combinations(range(4), 2)) + list(combinations(range(4, 8), 2))
             + [(3, 4)])
