@@ -197,6 +197,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
                     f"MISMATCH at query {checked}: expected {expected}, got {detail}",
                     file=sys.stderr,
                 )
+            try:
+                engine.audit()
+            except AssertionError as exc:
+                failures += ok  # a query that already mismatched counts once
+                print(f"AUDIT FAILED at query {checked}: {exc}", file=sys.stderr)
     print(f"checked {checked} queries, {failures} mismatches")
     return 1 if failures else 0
 

@@ -61,6 +61,11 @@ class StarInstance:
     edges its caller hands in (math.inf drains the queue in full), newest
     first, one unit per pop, and moves each one's count to its endpoints'
     current representatives.
+
+    audit() checks the table against the samplers, the queue against the
+    graph and the invariant against the quotient weights and the unmapped
+    counter, in one pass over the live edges, and raises AssertionError on
+    the first break.
     """
 
     def __init__(self, graph: DynamicGraph, centers: frozenset[int],
@@ -117,6 +122,56 @@ class StarInstance:
 
     def has_pending(self) -> bool:
         return bool(self._queue)
+
+    def audit(self) -> None:
+        """Check the relabel invariant in one pass over the live edges.
+
+        Raises AssertionError naming the first broken check and the first
+        vertex or edge that breaks it: "rep table" (an entry that is not
+        the vertex itself for a center, or its sampler's current() or None
+        for a non-center), "queue" (a queued edge that is not live),
+        "quotient" (a weight that differs from the number of live edges
+        counted under its pair, each under its queued pair or else its
+        endpoints' current representatives) or "unmapped" (likewise for the
+        edges counted with no representative).
+        """
+        rep, queue, graph = self._rep, self._queue, self.graph
+        for v in range(graph.n):
+            if v in self.centers:
+                want = v
+            else:
+                sampler = self._samplers.get(v)
+                want = None if sampler is None else sampler.current()
+            if rep[v] != want:
+                raise AssertionError(
+                    f"rep table: vertex {v} maps to {rep[v]}, its samplers to {want}")
+        for f in queue:
+            u, v = f
+            if not (0 <= u < graph.n and v in graph.neighbors(u)):
+                raise AssertionError(f"queue: edge {f} is queued but not live")
+        weights: dict[EdgeKey, int] = {}
+        unmapped = 0
+        for f in graph.edges():
+            a, b = queue.get(f) or (rep[f[0]], rep[f[1]])
+            if a is None or b is None:
+                unmapped += 1
+            elif a != b:
+                c = (a, b) if a < b else (b, a)
+                weights[c] = weights.get(c, 0) + 1
+        held = dict(self._contracted.edges())
+        if held != weights:
+            c = min(c for c in held.keys() | weights.keys()
+                    if held.get(c, 0) != weights.get(c, 0))
+            raise AssertionError(
+                f"quotient: edge {c} weighs {held.get(c, 0)}, its live edges"
+                f" number {weights.get(c, 0)}")
+        if self._contracted.vertices != self.centers:
+            strays = sorted(self._contracted.vertices ^ self.centers)
+            raise AssertionError(f"quotient: vertices {strays} are not the centers")
+        if self._unmapped != unmapped:
+            raise AssertionError(
+                f"unmapped: counted as {self._unmapped}, {unmapped} live edges"
+                " have no representative pair")
 
     # -- updates -------------------------------------------------------------
 

@@ -67,7 +67,9 @@ class Engine:
     the minimum degree and never answers below the true cut value; the
     minimum degree is an always-valid fallback. A simple graph's minimum
     degree is at most n - 1, so a query can read every level built (there
-    are none at n = 1).
+    are none at n = 1). audit() checks the graph's degree bookkeeping,
+    every distinct view's relabel invariant and each packing against its
+    view's quotient, on demand; `dyncut verify` runs it after every query.
     """
 
     def __init__(self, n: int, config: EngineConfig | None = None) -> None:
@@ -162,6 +164,29 @@ class Engine:
         """Live edges queued as possibly stale, summed over the distinct
         instances; each instance holds an edge at most once."""
         return sum(inst.queue_length() for inst in self._views)
+
+    def audit(self) -> None:
+        """Check the engine's invariants; raises AssertionError naming the
+        first broken one. Runs the graph's audit, then each distinct view's,
+        and checks that every view reads the engine's graph and that each
+        packing holds its view's quotient weights."""
+        self.graph.audit()
+        for inst, packing in self._views.items():
+            if inst.graph is not self.graph:
+                raise AssertionError(
+                    f"views: the view on {len(inst.centers)} centers reads"
+                    " another graph")
+            inst.audit()
+            if packing is None:
+                continue
+            packed = {e: w for e, w in packing.edges() if w}
+            quotient = dict(inst.contracted_graph().edges())
+            if packed != quotient:
+                c = min(c for c in packed.keys() | quotient.keys()
+                        if packed.get(c, 0) != quotient.get(c, 0))
+                raise AssertionError(
+                    f"packing: edge {c} weighs {packed.get(c, 0)} in the"
+                    f" packing, {quotient.get(c, 0)} in its view's quotient")
 
     # -- queries ---------------------------------------------------------
 

@@ -119,6 +119,39 @@ class DynamicGraph:
     def edge_count(self) -> int:
         return self._edge_count
 
+    def audit(self) -> None:
+        """Check the graph's bookkeeping against its adjacency.
+
+        Raises AssertionError naming the first broken check and a vertex or
+        degree that breaks it: "adjacency" (a self-loop, an out-of-range or
+        one-sided neighbor), "degree counts" (_count is not the degree
+        histogram), "minimum degree" (_min is not its smallest occupied
+        degree) or "edge count".
+        """
+        n, adj = self.n, self._adj
+        histogram = [0] * n
+        for u in range(n):
+            for v in adj[u]:
+                if not (0 <= v < n and v != u and u in adj[v]):
+                    raise AssertionError(
+                        f"adjacency: vertex {u} lists {v}, which is not a"
+                        " distinct in-range vertex listing it back")
+            histogram[len(adj[u])] += 1
+        for d in range(n):
+            if self._count[d] != histogram[d]:
+                raise AssertionError(
+                    f"degree counts: {self._count[d]} vertices counted at degree"
+                    f" {d}, {histogram[d]} have it")
+        low = min(range(n), key=lambda v: len(adj[v]))
+        if self._min != len(adj[low]):
+            raise AssertionError(
+                f"minimum degree: held as {self._min}, vertex {low} has"
+                f" degree {len(adj[low])}")
+        edges = sum(map(len, adj)) // 2
+        if self._edge_count != edges:
+            raise AssertionError(
+                f"edge count: held as {self._edge_count}, the adjacency has {edges}")
+
 
 class WeightedGraph:
     """Undirected graph with positive integer edge weights.

@@ -226,6 +226,26 @@ def test_verify_rejects_witness_that_does_not_cut(tmp_path, capsys, monkeypatch,
     assert "MISMATCH at query 1: expected 3" in err
 
 
+def test_verify_audits_after_each_query(tmp_path, capsys, monkeypatch):
+    # the answer is right, but the query leaves one view's unmapped counter
+    # off by one, which only the audit after the oracle check can see
+    path = tmp_path / "cycle.txt"
+    path.write_text(_cycle_stream(6))
+    answer = Engine.query_value
+
+    def answer_then_corrupt(self):
+        value = answer(self)
+        next(iter(self._views))._unmapped += 1
+        return value
+
+    monkeypatch.setattr(Engine, "query_value", answer_then_corrupt)
+    code, out, err = _run(capsys, "verify", str(path), "--copies", "2")
+    assert code == 1
+    assert "checked 1 queries, 1 mismatches" in out
+    assert "MISMATCH" not in err
+    assert "AUDIT FAILED at query 1: unmapped: counted as 1," in err
+
+
 def test_run_into_reader_that_closes_early(tmp_path):
     # 120 kB of answers outgrow the pipe's buffer, so the run is still
     # writing after the reader has taken one line and closed its end

@@ -61,17 +61,6 @@ def _apply(inst: StarInstance, e, sign: int, budget_coeff=None, budget=math.inf)
     return inst.apply_update(edge_key(*e), sign, budget, {})
 
 
-def _check_rep_table(inst: StarInstance) -> None:
-    """Every table entry is what the samplers say: a center itself, a
-    non-center its sampler's current element, or None without one."""
-    for v in range(inst.graph.n):
-        if v in inst.centers:
-            assert inst._rep[v] == v, v
-        else:
-            sampler = inst._samplers.get(v)
-            assert inst._rep[v] == (sampler.current() if sampler is not None else None), v
-
-
 def _recontract(inst: StarInstance) -> WeightedGraph:
     """From-scratch contraction of the live graph under the current reps."""
     g = WeightedGraph(inst.centers)
@@ -84,25 +73,11 @@ def _recontract(inst: StarInstance) -> WeightedGraph:
 
 
 def _scan_consistency(inst: StarInstance) -> None:
-    _check_rep_table(inst)
-    # the relabel invariant: the queue holds live edges only, and every live
-    # edge is counted under its queued pair or, outside the queue, under its
-    # endpoints' current representatives, so rebuilding the quotient weights
-    # and the unmapped count from those pairs gives the maintained ones
-    live = set(inst.graph.edges())
-    assert set(inst._queue) <= live
-    rebuilt = WeightedGraph(inst.centers)
-    unmapped = 0
-    for u, v in live:
-        pair = inst._queue.get((u, v)) or (inst.representative(u), inst.representative(v))
-        if None in pair:
-            unmapped += 1
-        elif pair[0] != pair[1]:
-            rebuilt.add_weight(edge_key(*pair), 1)
-    contracted = inst.contracted_graph()
-    assert contracted == rebuilt
-    assert inst._unmapped == unmapped
+    # the relabel invariant, the representative table and the queue's
+    # liveness, in the instance's own one-pass audit
+    inst.audit()
     # weight(c) == |preimage(c)| for every contracted key
+    contracted = inst.contracted_graph()
     for c, w in contracted.edges():
         assert w == len(inst.preimage_of(c)), c
     # the mapped, non-loop pairs are the preimages of all center pairs:
@@ -111,7 +86,7 @@ def _scan_consistency(inst: StarInstance) -> None:
         f for c in combinations(sorted(inst.centers), 2) for f in inst.preimage_of(c)
     ]
     assert len(set(mapped)) == len(mapped)
-    assert set(mapped) <= live
+    assert set(mapped) <= set(inst.graph.edges())
     assert contracted.total_weight() == len(mapped)
 
 
@@ -348,7 +323,7 @@ def test_rep_table_follows_samplers(seed):
         e = edge_key(u, v)
         sign = -1 if e in present else 1
         present ^= {e}
-        before = list(inst._rep)
+        before = [inst.representative(x) for x in range(n)]
         if sign == 1:
             inst.graph.insert_edge(e)
         else:
@@ -356,8 +331,8 @@ def test_rep_table_follows_samplers(seed):
         out = inst.apply_update(e, sign, 1, {} if step % 2 else None)
         if step % 2 == 0:
             assert out == []
-        _check_rep_table(inst)
-        moved += before != inst._rep
+        inst.audit()
+        moved += before != [inst.representative(x) for x in range(n)]
     assert moved >= 20
 
 

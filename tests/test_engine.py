@@ -8,6 +8,16 @@ from collections import deque
 from itertools import combinations
 
 import pytest
+from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+    run_state_machine_as_test,
+)
 
 import dyncut.engine as engine_module
 from dyncut import (
@@ -328,18 +338,17 @@ def test_relabel_queues_hold_live_edges_once(mode):
     # a budget of one edge move per update leaves the relabel queues
     # undrained on most of these 3,000 updates, while representative changes
     # keep adding the same edges and deletions kill queued ones; a queue
-    # that kept an edge per change, or kept dead edges, would outgrow the
-    # graph (the 160 live edges here)
+    # that kept an edge per change would outgrow the graph (the 160 live
+    # edges here), and the engine's audit finds any dead edge kept
     stream = generate_stream("dense-regular", 32, 3000, 0, degree=10)
     eng = Engine(32, _cfg(mode, copies=4, seed=3, center_coeff=1.0,
                           budget_coeff=1e-4))
     queued = 0
     for ev in stream.events:
         eng.update(ev.edge, 1 if ev.kind == INSERT else -1)
-        live = set(eng.graph.edges())
+        eng.audit()
         for inst in eng._views:
             assert inst.queue_length() <= eng.graph.edge_count
-            assert set(inst._queue) <= live
         queued += eng.queue_length() > 0
     assert queued > 1000  # the throttle binds
 
@@ -348,8 +357,8 @@ def test_packed_and_direct_views_agree_under_a_binding_budget():
     # only a view with a packing is handed a dict for its quotient deltas;
     # recording them must change nothing the view holds, so with queues
     # left undrained by a budget of one edge move per update, the packed
-    # and direct engines' views agree view by view, and each packing holds
-    # its view's quotient weights
+    # and direct engines' views agree view by view, and the packed engine's
+    # audit finds each packing holding its view's quotient weights
     stream = generate_stream("dense-regular", 32, 1500, 4, degree=10)
     engines = [Engine(32, _cfg(mode, seed=4, center_coeff=1.0,
                                budget_coeff=1e-4)) for mode in MODES]
@@ -359,12 +368,12 @@ def test_packed_and_direct_views_agree_under_a_binding_budget():
     packed, direct = (list(eng._views.items()) for eng in engines)
     assert len(packed) == len(direct) > 1
     assert sum(view.queue_length() for view, _ in direct) > 0
-    for (p, packing), (d, _) in zip(packed, direct):
+    for (p, _), (d, _) in zip(packed, direct):
         assert p.centers == d.centers
         assert p.contracted_graph() == d.contracted_graph()
         assert p.queue_length() == d.queue_length()
-        assert ({e: w for e, w in packing.edges() if w}
-                == {e: w for e, w in p.contracted_graph().edges() if w})
+    for eng in engines:
+        eng.audit()
 
 
 def _two_k4_bridge():
@@ -445,8 +454,7 @@ def test_views_store_no_pair_outside_the_queue(mode):
         reps = [[view.representative(x) for x in range(n)] for view in eng._views]
         eng.update((v, u), sign)
         assert set(eng.graph.edges()) == present
-        for view in eng._views:
-            assert not view._queue
+        assert eng.queue_length() == 0
         relabels += reps != [[view.representative(x) for x in range(n)]
                              for view in eng._views]
     assert present
@@ -487,12 +495,13 @@ def test_rejected_updates_leave_engine_unchanged(mode):
 
     def snapshot():
         shape = [
-            (inst.contracted_graph().copy(), inst.is_complete(),
+            (dict(inst.contracted_graph().edges()), inst.is_complete(),
              inst.queue_length())
             for inst in views.values()
         ]
         return shape, sorted(eng.graph.edges())
 
+    eng.audit()
     before = snapshot()
     value = eng.query_value()
     assert len(views) > 1 + 3  # contracting levels are in play
@@ -505,6 +514,7 @@ def test_rejected_updates_leave_engine_unchanged(mode):
     with pytest.raises(ValueError):
         eng.update((0, 1), 0)
     assert snapshot() == before
+    eng.audit()
     assert eng.query_value() == value
 
 
@@ -598,3 +608,108 @@ def test_contracting_level_witness_is_an_input_cut(mode):
         by_quotient += cut.value < degree
     assert queries >= 40
     assert by_quotient > 0
+
+
+class EngineMachine(RuleBasedStateMachine):
+    """Drives a two-copy engine on at most 12 vertices with legal and
+    rejected updates and queries, auditing it after every step.
+
+    Every answer lies between the true cut and the minimum degree; where
+    every view is the identity it is the true cut. A rejected update must
+    leave the edges, each view's quotient, the queue lengths and the
+    completeness as they were.
+    """
+
+    def __init__(self, mode: str, **config) -> None:
+        super().__init__()
+        self.mode, self.config = mode, config
+
+    @initialize(n=st.integers(2, 12), seed=st.integers(0, 2**16),
+                density=st.sampled_from([0.0, 0.5, 0.9]), bridged=st.booleans(),
+                pick=st.randoms(use_true_random=False))
+    def build(self, n, seed, density, bridged, pick):
+        # a dense start puts queries on the levels that contract; a bridged
+        # one keeps few edges between the halves, a cut below the minimum
+        # degree that only a quotient can answer
+        self.n = n
+        self.eng = Engine(n, _cfg(self.mode, copies=2, seed=seed, **self.config))
+        self.pairs = list(combinations(range(n), 2))
+        half = n // 2
+        self.present = {
+            (u, v) for u, v in self.pairs
+            if pick.random() < (0.05 if bridged and u < half <= v else density)
+        }
+        _fill(self.eng, sorted(self.present))
+
+    def _snapshot(self):
+        eng = self.eng
+        views = [(dict(inst.contracted_graph().edges()), inst.queue_length())
+                 for inst in eng._views]
+        return sorted(eng.graph.edges()), views, eng.completeness()
+
+    @precondition(lambda self: len(self.present) < len(self.pairs))
+    @rule(data=st.data())
+    def insert(self, data):
+        e = data.draw(st.sampled_from([e for e in self.pairs if e not in self.present]))
+        self.eng.insert(e[::-1] if data.draw(st.booleans()) else e)
+        self.present.add(e)
+
+    @precondition(lambda self: self.present)
+    @rule(data=st.data())
+    def delete(self, data):
+        e = data.draw(st.sampled_from(sorted(self.present)))
+        self.eng.delete(e)
+        self.present.discard(e)
+
+    @rule(data=st.data(), sign=st.sampled_from([1, -1]))
+    def rejected_update(self, data, sign):
+        v = data.draw(st.integers(0, self.n - 1))
+        bad = [((0, 1), 0, ValueError),  # sign 0
+               ((v, v), sign, ValueError),  # self-loop
+               ((v, self.n), sign, ValueError)]  # out of range
+        if self.present:
+            bad.append((data.draw(st.sampled_from(sorted(self.present))), 1,
+                        DuplicateEdgeError))
+        absent = [e for e in self.pairs if e not in self.present]
+        if absent:
+            bad.append((data.draw(st.sampled_from(absent)), -1, MissingEdgeError))
+        e, bad_sign, error = data.draw(st.sampled_from(bad))
+        before = self._snapshot()
+        with pytest.raises(error):
+            self.eng.update(e, bad_sign)
+        assert self._snapshot() == before
+
+    @rule()
+    def query_value(self):
+        shadow = WeightedGraph(range(self.n))
+        for e in self.present:
+            shadow.add_weight(e, 1)
+        truth = brute_force_mincut(shadow).value
+        value = self.eng.query_value()
+        assert truth <= value <= self.eng.graph.min_degree()
+        if all(len(inst.centers) == self.n for inst in self.eng._views):
+            assert value == truth
+
+    @invariant()
+    def audited(self):
+        self.eng.audit()
+        assert set(self.eng.graph.edges()) == self.present
+
+
+@pytest.mark.parametrize(
+    ("mode", "config"),
+    [(MODE_DIRECT, {}),
+     (MODE_DIRECT, {"center_coeff": 1.0, "budget_coeff": 1e-4}),
+     (MODE_PACKED, {"center_coeff": 1.0, "budget_coeff": 1e-4})],
+    ids=["direct-default", "direct-contracting", "packed-contracting"],
+)
+def test_engine_state_machine(mode, config):
+    # at center_coeff 1 level 2 contracts for n >= 5 and level 3 for n >= 9,
+    # and budget_coeff 1e-4 allows one edge move per update, so queues stay
+    # undrained; 80 runs of 25 steps take a few seconds
+    run_state_machine_as_test(
+        lambda: EngineMachine(mode, **config),
+        settings=settings(max_examples=80, stateful_step_count=25,
+                          derandomize=True, deadline=None,
+                          suppress_health_check=[HealthCheck.too_slow]),
+    )
