@@ -62,10 +62,7 @@ class StarInstance:
     first, one unit per pop, and moves each one's count to its endpoints'
     current representatives.
 
-    audit() checks the table against the samplers, the queue against the
-    graph and the invariant against the quotient weights and the unmapped
-    counter, in one pass over the live edges, and raises AssertionError on
-    the first break.
+    audit() checks this invariant and the table on demand.
     """
 
     def __init__(self, graph: DynamicGraph, centers: frozenset[int],
@@ -129,11 +126,11 @@ class StarInstance:
         Raises AssertionError naming the first broken check and the first
         vertex or edge that breaks it: "rep table" (an entry that is not
         the vertex itself for a center, or its sampler's current() or None
-        for a non-center), "queue" (a queued edge that is not live),
-        "quotient" (a weight that differs from the number of live edges
-        counted under its pair, each under its queued pair or else its
-        endpoints' current representatives) or "unmapped" (likewise for the
-        edges counted with no representative).
+        for a non-center), "queue" (a queued key that is not the canonical
+        key of a live edge), "quotient" (a weight that differs from the
+        number of live edges counted under its pair, each under its queued
+        pair or else its endpoints' current representatives) or "unmapped"
+        (likewise for the edges counted with no representative).
         """
         rep, queue, graph = self._rep, self._queue, self.graph
         for v in range(graph.n):
@@ -147,8 +144,9 @@ class StarInstance:
                     f"rep table: vertex {v} maps to {rep[v]}, its samplers to {want}")
         for f in queue:
             u, v = f
-            if not (0 <= u < graph.n and v in graph.neighbors(u)):
-                raise AssertionError(f"queue: edge {f} is queued but not live")
+            if not (0 <= u < v < graph.n and v in graph.neighbors(u)):
+                raise AssertionError(
+                    f"queue: key {f} is not the canonical key of a live edge")
         weights: dict[EdgeKey, int] = {}
         unmapped = 0
         for f in graph.edges():

@@ -67,9 +67,8 @@ class Engine:
     the minimum degree and never answers below the true cut value; the
     minimum degree is an always-valid fallback. A simple graph's minimum
     degree is at most n - 1, so a query can read every level built (there
-    are none at n = 1). audit() checks the graph's degree bookkeeping,
-    every distinct view's relabel invariant and each packing against its
-    view's quotient, on demand; `dyncut verify` runs it after every query.
+    are none at n = 1). audit() checks the engine's invariants on demand;
+    `dyncut verify` runs it after every query.
     """
 
     def __init__(self, n: int, config: EngineConfig | None = None) -> None:

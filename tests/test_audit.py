@@ -60,6 +60,12 @@ def _corrupt_queue(eng, view):
     view._queue[dead] = (None, None)
 
 
+def _corrupt_queue_order(eng, view):
+    # a live edge queued under its reversed key, with its counted pair
+    u, v = next(f for f in eng.graph.edges() if f not in view._queue)
+    view._queue[(v, u)] = (view.representative(v), view.representative(u))
+
+
 def _corrupt_quotient(eng, view):
     view.contracted_graph().add_weight(_quotient_edge(view), 1)
 
@@ -89,24 +95,27 @@ def _corrupt_edge_count(eng, view):
     eng.graph._edge_count += 1
 
 
-CORRUPTIONS = {
-    "rep table": _corrupt_rep,
-    "queue": _corrupt_queue,
-    "quotient": _corrupt_quotient,
-    "unmapped": _corrupt_unmapped,
-    "views": _corrupt_view_graph,
-    "adjacency": _corrupt_adjacency,
-    "degree counts": _corrupt_count,
-    "minimum degree": _corrupt_min,
-    "edge count": _corrupt_edge_count,
-}
+# (the check each corruption breaks, the corruption)
+CORRUPTIONS = [
+    ("rep table", _corrupt_rep),
+    ("queue", _corrupt_queue),
+    ("queue", _corrupt_queue_order),
+    ("quotient", _corrupt_quotient),
+    ("unmapped", _corrupt_unmapped),
+    ("views", _corrupt_view_graph),
+    ("adjacency", _corrupt_adjacency),
+    ("degree counts", _corrupt_count),
+    ("minimum degree", _corrupt_min),
+    ("edge count", _corrupt_edge_count),
+]
 
 
 @pytest.mark.parametrize("mode", MODES)
-@pytest.mark.parametrize("check", list(CORRUPTIONS))
-def test_audit_names_the_broken_check(mode, check):
+@pytest.mark.parametrize("check,corrupt", CORRUPTIONS,
+                         ids=[c.__name__[len("_corrupt_"):] for _, c in CORRUPTIONS])
+def test_audit_names_the_broken_check(mode, check, corrupt):
     eng, view = _engine(mode)
-    CORRUPTIONS[check](eng, view)
+    corrupt(eng, view)
     with pytest.raises(AssertionError, match=f"^{check}: "):
         eng.audit()
 
