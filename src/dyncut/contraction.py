@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import random
 
-from .graph_core import DynamicGraph, EdgeKey, WeightedGraph
+from .graph_core import DynamicGraph, EdgeKey, WeightedGraph, WeightError
 from .sampling import StableSampler
 
 DEFAULT_CENTER_COEFF = 800.0
@@ -47,7 +47,12 @@ class StarInstance:
     instance keeps the resulting weighted quotient graph incrementally:
     every live edge is counted, in the quotient weights or in the unmapped
     counter, under one pair of endpoint representatives, and a quotient
-    edge's preimage is read from those pairs on demand.
+    edge's preimage is read from those pairs on demand. The instance owns
+    the quotient weights as a plain dict over its fixed center set and
+    writes them itself, never through WeightedGraph.add_weight; the
+    quotient it hands out reads that dict. apply_update counts or
+    uncounts the update's own edge inline, and only drained edges move
+    through _retarget.
 
     Relabeling is lazy and keeps one invariant: an edge outside the
     relabel queue is counted under its endpoints' current representatives,
@@ -75,7 +80,10 @@ class StarInstance:
         self._rep: list[int | None] = [
             v if v in centers else None for v in range(graph.n)
         ]
-        self._contracted = WeightedGraph(self.centers)
+        # positive quotient weights by center pair, written only by
+        # apply_update and _retarget; the quotient graph shares the dict
+        self._weights: dict[EdgeKey, int] = {}
+        self._contracted = WeightedGraph(self.centers, self._weights)
         self._unmapped = 0
         # stale live edges, insertion-ordered, each with the pair it is
         # counted under, aligned with the canonical endpoint order (a None
@@ -87,12 +95,6 @@ class StarInstance:
 
     def representative(self, v: int) -> int | None:
         return self._rep[v]
-
-    def _sampler(self, v: int) -> StableSampler:
-        s = self._samplers.get(v)
-        if s is None:
-            s = self._samplers[v] = StableSampler(self._rng)
-        return s
 
     # -- contracted view -----------------------------------------------------
 
@@ -156,10 +158,10 @@ class StarInstance:
             elif a != b:
                 c = (a, b) if a < b else (b, a)
                 weights[c] = weights.get(c, 0) + 1
-        held = dict(self._contracted.edges())
-        if held != weights:
+        held = self._weights
+        if held != weights:  # a stored zero differs from an absent key
             c = min(c for c in held.keys() | weights.keys()
-                    if held.get(c, 0) != weights.get(c, 0))
+                    if held.get(c) != weights.get(c))
             raise AssertionError(
                 f"quotient: edge {c} weighs {held.get(c, 0)}, its live edges"
                 f" number {weights.get(c, 0)}")
@@ -190,10 +192,12 @@ class StarInstance:
         u, v = key
         if sign == -1:  # read before the sampler update below moves a rep
             counted = queue.pop(key, None) or (rep[u], rep[v])
-        u_center = u in self.centers
-        if u_center != (v in self.centers):
+        u_center = rep[u] == u  # only a center represents itself
+        if u_center != (rep[v] == v):
             center, other = (u, v) if u_center else (v, u)
-            sampler = self._sampler(other)
+            sampler = self._samplers.get(other)
+            if sampler is None:
+                sampler = self._samplers[other] = StableSampler(self._rng)
             changed = sampler.insert(center) if sign == 1 else sampler.remove(center)
             if changed:  # other's unqueued edges are still counted under before
                 before = rep[other]
@@ -205,9 +209,24 @@ class StarInstance:
                         queue[f] = (before, r) if other < x else (r, before)
         if sign == 1:  # the fill may have queued it, but it was never counted
             queue.pop(key, None)
-            self._retarget(None, (rep[u], rep[v]), deltas)
+            a, b = rep[u], rep[v]
         else:
-            self._retarget(counted, None, deltas)
+            a, b = counted
+        # count (or uncount) the update's own edge under (a, b)
+        if a is None or b is None:
+            self._unmapped += sign
+        elif a != b:
+            c = (a, b) if a < b else (b, a)
+            weights = self._weights
+            w = weights.get(c, 0) + sign
+            if w > 0:
+                weights[c] = w
+            elif w == 0:
+                del weights[c]
+            else:
+                raise WeightError(f"weight of {c} would become {w}")
+            if deltas is not None:
+                deltas[c] = deltas.get(c, 0) + sign
         if queue:
             self._drain(budget, deltas)
         if deltas is None:
@@ -224,17 +243,21 @@ class StarInstance:
                 self._retarget(old, new, deltas)
 
     def _retarget(self, old, new, deltas: dict[EdgeKey, int] | None) -> None:
-        """Move one edge's count from pair old to pair new (None: not
-        counted), keeping the quotient weights and unmapped counter aligned,
-        and record the weight changes in deltas unless it is None."""
-        for pair, d in ((old, -1), (new, 1)):
-            if pair is None:
-                continue
-            a, b = pair
+        """Move one drained edge's count from pair old to pair new, keeping
+        the quotient weights and unmapped counter aligned, and record the
+        weight changes in deltas unless it is None."""
+        weights = self._weights
+        for (a, b), d in ((old, -1), (new, 1)):
             if a is None or b is None:
                 self._unmapped += d
             elif a != b:
                 c = (a, b) if a < b else (b, a)
-                self._contracted.add_weight(c, d)
+                w = weights.get(c, 0) + d
+                if w > 0:
+                    weights[c] = w
+                elif w == 0:
+                    del weights[c]
+                else:
+                    raise WeightError(f"weight of {c} would become {w}")
                 if deltas is not None:
                     deltas[c] = deltas.get(c, 0) + d

@@ -160,11 +160,16 @@ class WeightedGraph:
     are added to it automatically. A weight reaching zero removes the edge,
     and a weight going negative is a hard error. Edges are named by their
     canonical keys (edge_key order), taken as given.
+
+    A weights dict handed in is shared, not copied: its owner may keep
+    writing it, and then keeps every weight positive and every endpoint in
+    the vertex set itself.
     """
 
-    def __init__(self, vertices: Iterable[int] = ()) -> None:
+    def __init__(self, vertices: Iterable[int] = (),
+                 weights: dict[EdgeKey, int] | None = None) -> None:
         self.vertices: set[int] = set(vertices)
-        self._w: dict[EdgeKey, int] = {}
+        self._w: dict[EdgeKey, int] = {} if weights is None else weights
 
     def add_weight(self, e: EdgeKey, delta: int) -> None:
         w = self._w.get(e, 0) + delta
@@ -191,9 +196,7 @@ class WeightedGraph:
         return sum(self._w.values())
 
     def copy(self) -> "WeightedGraph":
-        g = WeightedGraph(self.vertices)
-        g._w = dict(self._w)
-        return g
+        return WeightedGraph(self.vertices, dict(self._w))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WeightedGraph):

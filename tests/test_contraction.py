@@ -12,6 +12,7 @@ from dyncut import (
     DynamicGraph,
     StarInstance,
     WeightedGraph,
+    WeightError,
     brute_force_mincut,
     edge_key,
 )
@@ -281,13 +282,20 @@ def test_lazy_tiny_budget_still_coherent(monkeypatch):
     inst = _star(16, threshold=12, center_coeff=1.0, seed=3)
     moves = 0
     retarget = StarInstance._retarget
+    apply_update = StarInstance.apply_update
 
     def counted_retarget(self, f, pair, deltas):
         nonlocal moves
         moves += 1
         retarget(self, f, pair, deltas)
 
+    def counted_apply_update(self, *args):
+        nonlocal moves
+        moves += 1  # the update's own edge, counted inline
+        return apply_update(self, *args)
+
     monkeypatch.setattr(StarInstance, "_retarget", counted_retarget)
+    monkeypatch.setattr(StarInstance, "apply_update", counted_apply_update)
     saw_pending = False
     def check(i):
         nonlocal saw_pending, moves
@@ -334,6 +342,65 @@ def test_rep_table_follows_samplers(seed):
         inst.audit()
         moved += before != [inst.representative(x) for x in range(n)]
     assert moved >= 20
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_delta_dict_changes_nothing_but_the_record(seed):
+    # two views on one graph with the same centers and sampler seeds, one
+    # handed no dict for the deltas and one a fresh dict, take the same
+    # stream under a budget of one edge move per update: they must hold the
+    # same state after every step, and the recorded deltas must be the net
+    # change of the recording view's quotient
+    n = 24
+    graph = DynamicGraph(n)
+    plain = _star(n, threshold=8, center_coeff=1.0, seed=seed, graph=graph)
+    recorded = _star(n, threshold=8, center_coeff=1.0, seed=seed, graph=graph)
+    assert plain.centers == recorded.centers != frozenset(range(n))
+    rng = random.Random(seed + 90)
+    present: set = set()
+    queued = changed = 0
+    for _ in range(600):
+        e = edge_key(*rng.sample(range(n), 2))
+        sign = -1 if e in present else 1
+        present ^= {e}
+        if sign == 1:
+            graph.insert_edge(e)
+        else:
+            graph.delete_edge(e)
+        before = dict(recorded.contracted_graph().edges())
+        assert plain.apply_update(e, sign, 1) == []
+        out = recorded.apply_update(e, sign, 1, {})
+        after = dict(recorded.contracted_graph().edges())
+        assert dict(out) == {
+            c: after.get(c, 0) - before.get(c, 0) for c in before.keys() | after.keys()
+            if after.get(c, 0) != before.get(c, 0)
+        }
+        assert len(dict(out)) == len(out)
+        assert plain.contracted_graph() == recorded.contracted_graph()
+        assert plain._rep == recorded._rep
+        assert list(plain._queue.items()) == list(recorded._queue.items())
+        assert plain._unmapped == recorded._unmapped
+        recorded.audit()
+        queued += recorded.has_pending()
+        changed += bool(out)
+    assert queued >= 100 and changed >= 100
+
+
+@pytest.mark.parametrize("deltas", [None, {}], ids=["plain", "recorded"])
+def test_deleting_below_a_zero_quotient_weight_raises(deltas):
+    # the view writes its own quotient weights; once the weight of a pair is
+    # gone, deleting a live edge counted under that pair must raise rather
+    # than store a zero or negative weight
+    inst = _star(4, centers=frozenset({0, 1}))
+    _apply(inst, (0, 1), +1)
+    quotient = inst.contracted_graph()
+    quotient.add_weight((0, 1), -1)
+    assert dict(quotient.edges()) == {}
+    inst.graph.delete_edge((0, 1))
+    with pytest.raises(WeightError):
+        inst.apply_update((0, 1), -1, math.inf, deltas)
+    assert all(w > 0 for _, w in quotient.edges())
+    assert quotient.weight((0, 1)) == 0
 
 
 def _budgeted(inst: StarInstance, budget: float):
