@@ -51,21 +51,29 @@ class StarInstance:
     the quotient weights as a plain dict over its fixed center set and
     writes them itself, never through WeightedGraph.add_weight; the
     quotient it hands out reads that dict. apply_update counts or
-    uncounts the update's own edge inline, and only drained edges move
-    through _retarget.
+    uncounts the update's own edge inline; every other edge moves through
+    _retarget.
 
-    Relabeling is lazy and keeps one invariant: an edge outside the
-    relabel queue is counted under its endpoints' current representatives,
-    and the queue maps every other live edge to the pair it is still
-    counted under, so only stale edges store a pair. A representative
-    change queues the vertex's unqueued edges under the representative it
-    had before; an insertion is counted once, under the representatives
-    its sampler update left, and so is taken out; a deletion is uncounted
-    under its queued pair, or else the representatives before its sampler
-    update, and taken out. Each update pops at most the budget of queued
-    edges its caller hands in (math.inf drains the queue in full), newest
-    first, one unit per pop, and moves each one's count to its endpoints'
-    current representatives.
+    Relabeling keeps one invariant: an edge outside the relabel queue is
+    counted under its endpoints' current representatives, and the queue
+    maps every other live edge to the pair it is still counted under, so
+    only stale edges store a pair. A representative change makes the
+    vertex's unqueued edges stale. When the vertex's degree is within the
+    budget its caller hands in, the update moves each of them at once from
+    the representative the vertex had before to its new one, one unit of
+    budget per edge; otherwise it queues them all under the one before, so
+    the queue holds only the edges a budget defers (at the default
+    coefficient and n <= 65,540 the budget is at least n - 1, so no queue
+    is written).
+    The update's own edge is never queued: an insertion is counted once,
+    under the representatives its sampler update left; a deletion is
+    uncounted under its queued pair, or else the representatives before
+    its sampler update, and taken out. The budget left then pops queued
+    edges (math.inf drains the queue in full), newest first, one unit per
+    pop, and moves each one's count to its endpoints' current
+    representatives. Moving a fresh edge at once ends where queueing it
+    and popping it first would, so the budget decides only how much the
+    drain leaves behind.
 
     audit() checks this invariant and the table on demand.
     """
@@ -85,10 +93,11 @@ class StarInstance:
         self._weights: dict[EdgeKey, int] = {}
         self._contracted = WeightedGraph(self.centers, self._weights)
         self._unmapped = 0
-        # stale live edges, insertion-ordered, each with the pair it is
-        # counted under, aligned with the canonical endpoint order (a None
-        # side has no representative: the edge counts as unmapped); no
-        # answer depends on the order, since a view with a queue is never read
+        # live edges whose relabel the budget deferred, insertion-ordered,
+        # each with the pair it is counted under, aligned with the canonical
+        # endpoint order (a None side has no representative: the edge counts
+        # as unmapped); no answer depends on the order, since a view with a
+        # queue is never read
         self._queue: dict[EdgeKey, tuple[int | None, int | None]] = {}
 
     # -- representatives ----------------------------------------------------
@@ -182,11 +191,14 @@ class StarInstance:
 
         key is the edge's canonical key (edge_key order) and sign is +1 for
         insertion or -1 for deletion; the caller has validated both and has
-        already applied the update to the graph. At most budget queued
-        edges are drained. Deltas are recorded only when the caller hands
-        in a dict, which should be empty: the returned list then pairs
-        quotient edge keys with the net weight change this update caused,
-        drained edges included. Without one the list is empty.
+        already applied the update to the graph. At most budget edges move
+        besides the update's own: a relabeled vertex's stale edges, all at
+        once when its degree is within the budget (else they are queued),
+        then queued edges until the budget is spent. Deltas are recorded
+        only when the caller hands in a dict, which should be empty: the
+        returned list then pairs quotient edge keys with the net weight
+        change this update caused, moved edges included. Without one the
+        list is empty.
         """
         queue, rep = self._queue, self._rep
         u, v = key
@@ -201,17 +213,22 @@ class StarInstance:
             changed = sampler.insert(center) if sign == 1 else sampler.remove(center)
             if changed:  # other's unqueued edges are still counted under before
                 before = rep[other]
-                rep[other] = sampler.current()
-                for x in self.graph.neighbors(other):
+                after = rep[other] = sampler.current()
+                edges = self.graph.neighbors(other)
+                now = len(edges) <= budget  # else the budget defers them all
+                for x in edges:
+                    if x == center:  # an insertion's own edge, not counted yet
+                        continue
                     f = (other, x) if other < x else (x, other)
-                    if f not in queue:
-                        r = rep[x]
+                    if f in queue:
+                        continue
+                    r = rep[x]
+                    if now:  # where a drain popping it first would move it
+                        self._retarget((before, r), (after, r), deltas)
+                        budget -= 1
+                    else:
                         queue[f] = (before, r) if other < x else (r, before)
-        if sign == 1:  # the fill may have queued it, but it was never counted
-            queue.pop(key, None)
-            a, b = rep[u], rep[v]
-        else:
-            a, b = counted
+        a, b = (rep[u], rep[v]) if sign == 1 else counted
         # count (or uncount) the update's own edge under (a, b)
         if a is None or b is None:
             self._unmapped += sign
@@ -243,7 +260,7 @@ class StarInstance:
                 self._retarget(old, new, deltas)
 
     def _retarget(self, old, new, deltas: dict[EdgeKey, int] | None) -> None:
-        """Move one drained edge's count from pair old to pair new, keeping
+        """Move one stale edge's count from pair old to pair new, keeping
         the quotient weights and unmapped counter aligned, and record the
         weight changes in deltas unless it is None."""
         weights = self._weights

@@ -21,6 +21,8 @@ class StableSampler:
     as much.
     """
 
+    __slots__ = ("_rng", "_priority", "_current")
+
     def __init__(self, rng: random.Random) -> None:
         self._rng = rng
         self._priority: dict[int, int] = {}

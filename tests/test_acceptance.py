@@ -435,10 +435,11 @@ def test_criterion_11_update_time_trend(monkeypatch):
     # = ceil(budget_coeff * n * log2(n)^4 / delta), so the criterion
     # counts edge moves, the unit that budget is stated in: one per
     # instance update for its own edge, which apply_update counts inline,
-    # plus one per _retarget call of the drain. Over the updates made once
-    # the circulant warm-up has brought the minimum degree to `degree`, no
-    # instance update may exceed 1 + budget (the update's own edge plus the
-    # drain), and the mean moves per update may not grow with delta.
+    # plus one per _retarget call, at a relabel or in the drain. Over the
+    # updates made once the circulant warm-up has brought the minimum degree
+    # to `degree`, no instance update may exceed 1 + budget (the update's own
+    # edge plus the budgeted moves), and the mean moves per update may not
+    # grow with delta.
     # Wall-clock time per held-degree update is printed for information
     # only: the paper promises no fall.
     moves = 0

@@ -192,13 +192,13 @@ def test_sum_of_weights_counts_mapped_edges():
 
 
 def _drive(inst: StarInstance, seed: int, n: int, steps: int,
-            check=None, budget_coeff=None) -> None:
+            check=None, budget_coeff=None, budget=math.inf) -> None:
     rng = random.Random(seed)
     present: set = set()
     for _ in range(steps):
         if present and rng.random() < 0.4:
             e = rng.choice(sorted(present))
-            _apply(inst, e, -1, budget_coeff)
+            _apply(inst, e, -1, budget_coeff, budget)
             present.discard(e)
         else:
             while True:
@@ -206,7 +206,7 @@ def _drive(inst: StarInstance, seed: int, n: int, steps: int,
                 if u != v and edge_key(u, v) not in present:
                     break
             e = edge_key(u, v)
-            _apply(inst, e, +1, budget_coeff)
+            _apply(inst, e, +1, budget_coeff, budget)
             present.add(e)
         if check is not None:
             check(inst)
@@ -226,8 +226,9 @@ def test_eager_matches_recontraction_everywhere(seed):
 @pytest.mark.parametrize("seed", range(4))
 def test_eager_equals_full_lazy_drain(seed):
     # at n = 32 the default budget, 32 * 5^4 / delta >= 645 edge moves,
-    # exceeds any relabel, so the lazy instance drains each task within the
-    # update that queued it and must match the eager one move for move
+    # exceeds any degree, so the lazy instance moves each relabeled vertex's
+    # edges within the update that relabels it and must match the eager one
+    # move for move
     n = 32
     graph = DynamicGraph(n)
     eager, lazy = (
@@ -460,19 +461,91 @@ def test_stale_relabel_never_reaches_a_reinserted_edge():
     assert inst.contracted_graph() == _recontract(inst)
 
 
-def test_lazy_default_budget_drains_each_step():
-    # at this scale the default budget exceeds any queue the stream builds
-    inst = _star(16, threshold=12, center_coeff=1.0, seed=7)
-    occupied = 0
-    steps = 250
+def test_lazy_default_budget_drains_each_step(monkeypatch):
+    # at this scale the default budget exceeds every degree, so each relabel
+    # moves its vertex's edges within its update, no queue is written and
+    # the drain is never entered, at the default budget as at math.inf
+    drains = 0
+    drain = StarInstance._drain
 
-    def check(i):
-        nonlocal occupied
-        occupied += 1 if i.has_pending() else 0
-        _scan_consistency(i)
+    def counted_drain(self, *args):
+        nonlocal drains
+        drains += 1
+        drain(self, *args)
 
-    _drive(inst, 17, 16, steps, check, DEFAULT_BUDGET_COEFF)
-    assert occupied / steps <= 0.5
+    monkeypatch.setattr(StarInstance, "_drain", counted_drain)
+    for coeff in (DEFAULT_BUDGET_COEFF, None):  # None: a budget of math.inf
+        inst = _star(16, threshold=12, center_coeff=1.0, seed=7)
+        occupied = relabels = 0
+        reps = list(inst._rep)
+
+        def check(i):
+            nonlocal occupied, relabels, reps
+            occupied += i.has_pending()
+            relabels += reps != i._rep
+            reps = list(i._rep)
+            _scan_consistency(i)
+
+        _drive(inst, 17, 16, 250, check, coeff)
+        assert occupied == 0
+        assert relabels >= 20
+    assert drains == 0
+
+
+@pytest.mark.parametrize("budget", [2, 4])
+def test_relabel_moves_or_queues_all_its_stale_edges(monkeypatch, budget):
+    # at budgets around the degrees of this stream, a relabeled vertex's
+    # newly stale edges either all move within the update, before any drain,
+    # or all wait in the queue; no update moves more than its own edge plus
+    # the budget, and both outcomes occur
+    inst = _star(16, threshold=12, center_coeff=1.0, seed=3)
+    apply_update = StarInstance.apply_update
+    drain = StarInstance._drain
+    retarget = StarInstance._retarget
+    log: dict = {}
+    outcomes = {"moved": 0, "queued": 0}
+
+    def counted_retarget(self, *args):
+        log["moves"] += 1
+        retarget(self, *args)
+
+    def watched_drain(self, *args):
+        log["early"], log["queue"] = log["moves"], set(self._queue)
+        drain(self, *args)
+
+    def watched_apply_update(self, key, sign, b, deltas=None):
+        reps, stale = list(self._rep), set(self._queue)
+        log.update(moves=0, early=None, queue=None)
+        out = apply_update(self, key, sign, b, deltas)
+        assert log["moves"] <= b  # besides the update's own edge
+        early = log["moves"] if log["early"] is None else log["early"]
+        queue = set(self._queue) if log["queue"] is None else log["queue"]
+        changed = [w for w in range(self.graph.n) if reps[w] != self._rep[w]]
+        assert len(changed) <= 1
+        for w in changed:
+            fresh = {edge_key(w, x) for x in self.graph.neighbors(w)} - stale - {key}
+            if not fresh:
+                continue
+            if early == len(fresh) and not fresh & queue:
+                outcomes["moved"] += 1
+            elif early == 0 and fresh <= queue:
+                outcomes["queued"] += 1
+            else:
+                pytest.fail(f"vertex {w}: {early} of {len(fresh)} stale edges moved")
+        return out
+
+    monkeypatch.setattr(StarInstance, "_retarget", counted_retarget)
+    monkeypatch.setattr(StarInstance, "_drain", watched_drain)
+    monkeypatch.setattr(StarInstance, "apply_update", watched_apply_update)
+    _drive(inst, 91, 16, 300, _scan_consistency, budget=budget)
+    assert outcomes["moved"] >= 1 and outcomes["queued"] >= 1, outcomes
+    assert inst.has_pending()
+    e = next(f for f in combinations(range(16), 2) if f not in inst.graph.edges())
+    _apply(inst, e, +1)  # a budget of math.inf drains the queue in full
+    _apply(inst, e, -1)
+    _scan_consistency(inst)
+    assert not inst.has_pending()
+    assert inst.contracted_graph() == _recontract(inst)
 
 
 def test_budget_formula():

@@ -4,8 +4,9 @@ Usage, from anywhere inside a dyncut checkout:
 
     python3 tools/bench_pairs.py --parent REF --seeds 401-410 --label flat_view
 
-The change is this checkout's working tree; the parent is REF, checked out
-for the run with ``git worktree`` and removed afterwards. For every seed and
+The change is this checkout's working tree; the parent is REF, extracted
+with ``git archive`` into a temporary directory that is removed afterwards,
+so the repository's own metadata is never touched. For every seed and
 every workload that ``BENCHMARK.json`` declares, both sides run
 
     python3 perfbench/run.py --workload W --seed S --seconds N --trace 0
@@ -128,23 +129,22 @@ def main(argv=None) -> int:
     runs = []
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         tree = Path(tmp) / "parent"
-        subprocess.run(["git", "worktree", "add", "--detach", "--quiet", str(tree), parent],
-                       cwd=ROOT, check=True)
-        try:
-            for seed in seeds:
-                order = ("parent", "change") if seed % 2 == 0 else ("change", "parent")
-                for w in workloads:
-                    record = {"workload": w, "seed": seed, "first": order[0]}
-                    for side in order:
-                        record[side] = run_side(tree if side == "parent" else ROOT,
-                                                w, seed, args.seconds, names)
-                    runs.append(record)
-                    print(f"# {w} seed={seed} ops_per_s parent="
-                          f"{record['parent']['metrics']['ops_per_s']['value']:.0f}"
-                          f" change={record['change']['metrics']['ops_per_s']['value']:.0f}",
-                          flush=True)
-        finally:
-            subprocess.run(["git", "worktree", "remove", "--force", str(tree)], cwd=ROOT)
+        tree.mkdir()
+        archive = subprocess.run(["git", "archive", "--format=tar", parent], cwd=ROOT,
+                                 capture_output=True, check=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(tree)], input=archive, check=True)
+        for seed in seeds:
+            order = ("parent", "change") if seed % 2 == 0 else ("change", "parent")
+            for w in workloads:
+                record = {"workload": w, "seed": seed, "first": order[0]}
+                for side in order:
+                    record[side] = run_side(tree if side == "parent" else ROOT,
+                                            w, seed, args.seconds, names)
+                runs.append(record)
+                print(f"# {w} seed={seed} ops_per_s parent="
+                      f"{record['parent']['metrics']['ops_per_s']['value']:.0f}"
+                      f" change={record['change']['metrics']['ops_per_s']['value']:.0f}",
+                      flush=True)
 
     result = {
         "what": args.what or f"Parent/change pairs of the benchmark ({args.label})",
