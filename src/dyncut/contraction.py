@@ -47,12 +47,12 @@ class StarInstance:
     instance keeps the resulting weighted quotient graph incrementally:
     every live edge is counted, in the quotient weights or in the unmapped
     counter, under one pair of endpoint representatives, and a quotient
-    edge's preimage is read from those pairs on demand. The instance owns
-    the quotient weights as a plain dict over its fixed center set and
-    writes them itself, never through WeightedGraph.add_weight; the
-    quotient it hands out reads that dict. apply_update counts or
-    uncounts the update's own edge inline; every other edge moves through
-    _retarget.
+    edge's preimage is read from those pairs on demand. The instance writes
+    the quotient weights itself, never through WeightedGraph.add_weight,
+    into an empty dict the caller may hand in (a packing's weights, which
+    follow each write) or else its own; the quotient it hands out reads
+    that dict. apply_update counts or uncounts the update's own edge
+    inline; every other edge moves through _retarget.
 
     Relabeling keeps one invariant: an edge outside the relabel queue is
     counted under its endpoints' current representatives, and the queue
@@ -79,7 +79,8 @@ class StarInstance:
     """
 
     def __init__(self, graph: DynamicGraph, centers: frozenset[int],
-                 rng: random.Random | None) -> None:
+                 rng: random.Random | None,
+                 weights: dict[EdgeKey, int] | None = None) -> None:
         self.graph = graph
         self._rng = rng  # None only where no vertex needs a sampler
         self.centers = centers
@@ -90,7 +91,7 @@ class StarInstance:
         ]
         # positive quotient weights by center pair, written only by
         # apply_update and _retarget; the quotient graph shares the dict
-        self._weights: dict[EdgeKey, int] = {}
+        self._weights = {} if weights is None else weights
         self._contracted = WeightedGraph(self.centers, self._weights)
         self._unmapped = 0
         # live edges whose relabel the budget deferred, insertion-ordered,
@@ -184,21 +185,15 @@ class StarInstance:
 
     # -- updates -------------------------------------------------------------
 
-    def apply_update(self, key: EdgeKey, sign: int, budget: float,
-                     deltas: dict[EdgeKey, int] | None = None,
-                     ) -> list[tuple[EdgeKey, int]]:
-        """Apply one edge update; returns net quotient weight deltas.
+    def apply_update(self, key: EdgeKey, sign: int, budget: float) -> list:
+        """Apply one edge update; returns [] (perfbench reads its length).
 
         key is the edge's canonical key (edge_key order) and sign is +1 for
         insertion or -1 for deletion; the caller has validated both and has
         already applied the update to the graph. At most budget edges move
         besides the update's own: a relabeled vertex's stale edges, all at
         once when its degree is within the budget (else they are queued),
-        then queued edges until the budget is spent. Deltas are recorded
-        only when the caller hands in a dict, which should be empty: the
-        returned list then pairs quotient edge keys with the net weight
-        change this update caused, moved edges included. Without one the
-        list is empty.
+        then queued edges until the budget is spent.
         """
         queue, rep = self._queue, self._rep
         u, v = key
@@ -224,7 +219,7 @@ class StarInstance:
                         continue
                     r = rep[x]
                     if now:  # where a drain popping it first would move it
-                        self._retarget((before, r), (after, r), deltas)
+                        self._retarget((before, r), (after, r))
                         budget -= 1
                     else:
                         queue[f] = (before, r) if other < x else (r, before)
@@ -242,27 +237,21 @@ class StarInstance:
                 del weights[c]
             else:
                 raise WeightError(f"weight of {c} would become {w}")
-            if deltas is not None:
-                deltas[c] = deltas.get(c, 0) + sign
         if queue:
-            self._drain(budget, deltas)
-        if deltas is None:
-            return []
-        return [(c, d) for c, d in deltas.items() if d != 0]
+            self._drain(budget)
+        return []
 
-    def _drain(self, budget: float, deltas: dict[EdgeKey, int] | None) -> None:
+    def _drain(self, budget: float) -> None:
         queue, rep = self._queue, self._rep
         while budget > 0 and queue:
             f, old = queue.popitem()
             budget -= 1
             new = (rep[f[0]], rep[f[1]])
             if new != old:
-                self._retarget(old, new, deltas)
+                self._retarget(old, new)
 
-    def _retarget(self, old, new, deltas: dict[EdgeKey, int] | None) -> None:
-        """Move one stale edge's count from pair old to pair new, keeping
-        the quotient weights and unmapped counter aligned, and record the
-        weight changes in deltas unless it is None."""
+    def _retarget(self, old, new) -> None:
+        """Move one stale edge's count from pair old to pair new."""
         weights = self._weights
         for (a, b), d in ((old, -1), (new, 1)):
             if a is None or b is None:
@@ -276,5 +265,3 @@ class StarInstance:
                     del weights[c]
                 else:
                     raise WeightError(f"weight of {c} would become {w}")
-                if deltas is not None:
-                    deltas[c] = deltas.get(c, 0) + d

@@ -56,13 +56,13 @@ class Engine:
     maps each distinct instance to its packing, 2^(i+1) forests deep for
     the deepest level i it fills, or to None in direct mode; a level j query
     reads the union of the first 2^(j+1) forests, or in direct mode the
-    quotient itself. An update is applied once to the one DynamicGraph
-    every instance reads, then reaches every view with one canonical key
-    and one relabel budget: relabel_budget(n, delta, budget_coeff) in
+    quotient itself. A packed view writes its quotient weights straight
+    into its packing's weights, so the packing takes each unit change as
+    the view makes it. An update is applied once to the one DynamicGraph
+    every instance reads, then reaches every view alike with one canonical
+    key and one relabel budget: relabel_budget(n, delta, budget_coeff) in
     either mode, with delta read once, or no bound, with delta unread, when
-    every view is the identity, which never queues a relabel. Only a view
-    with a packing is handed a dict to record its quotient deltas in, and
-    the packing applies them; a direct view records none. A query runs a
+    every view is the identity, which never queues a relabel. A query runs a
     static cut on each complete distinct instance at the level just below
     the minimum degree and never answers below the true cut value; the
     minimum degree is an always-valid fallback. A simple graph's minimum
@@ -92,38 +92,48 @@ class Engine:
         else:
             self.copies = self.config.copies
         self.graph = DynamicGraph(n)
+        # The view table: each distinct instance with its packing (None in
+        # direct mode), as deep as the deepest level i it fills, so a level
+        # i cell reads the union of its first 2^(i+1) forests.
+        self._views: dict[StarInstance, ForestPacking | None] = {}
         everyone = frozenset(range(n))
-        # Fills every cell whose centers are all of V; it never samples.
-        identity = StarInstance(self.graph, everyone, None)
         # Grid of copies x levels whose cells alias the shared instances;
-        # perfbench reads it to describe the views.
+        # perfbench reads it to describe the views. Cells whose centers are
+        # all of V hold None until the shared identity, which never
+        # samples, is built as deep as the deepest of them.
         self._instances: list[list[StarInstance]] = []
-        # Each distinct instance once, in first-seen order, with the deepest
-        # level it fills.
-        deepest: dict[StarInstance, int] = {}
+        identity_level = -1
         for c in range(self.copies):
             row = []
             for i in range(self.levels):
                 p = center_probability(n, 2**i, self.config.center_coeff)
-                inst = identity
+                inst = None
                 if p < 1:
                     rng = random.Random(_child_seed(self.config.seed, c, i))
                     centers = frozenset(v for v in range(n) if rng.random() < p)
                     if centers != everyone:
-                        inst = StarInstance(self.graph, centers, rng)
-                deepest[inst] = max(deepest.get(inst, i), i)
+                        inst = self._view(centers, rng, i)
+                if inst is None:
+                    identity_level = max(identity_level, i)
                 row.append(inst)
             self._instances.append(row)
-        # The view table: each distinct instance with its packing (None in
-        # direct mode), as deep as the deepest level it fills, so a level i
-        # cell reads the union of its first 2^(i+1) forests.
-        packed = self.config.mode == MODE_PACKED
-        self._views: dict[StarInstance, ForestPacking | None] = {
-            inst: ForestPacking(2 ** (i + 1), n, inst.centers) if packed else None
-            for inst, i in deepest.items()
-        }
-        # an identity view never queues a relabel, so it needs no budget
-        self._throttled = any(inst is not identity for inst in deepest)
+        # only contracting views so far; the identity never queues a relabel
+        self._throttled = bool(self._views)
+        if identity_level >= 0:
+            identity = self._view(everyone, None, identity_level)
+            for row in self._instances:
+                row[:] = [identity if inst is None else inst for inst in row]
+
+    def _view(self, centers: frozenset[int], rng: random.Random | None,
+              level: int) -> StarInstance:
+        """A new view on centers, entered in the view table with its packing."""
+        packing = None
+        if self.config.mode == MODE_PACKED:
+            packing = ForestPacking(2 ** (level + 1), self.n, centers)
+        weights = None if packing is None else packing.weights
+        inst = StarInstance(self.graph, centers, rng, weights)
+        self._views[inst] = packing
+        return inst
 
     def insert(self, e: EdgeKey) -> None:
         self.update(e, 1)
@@ -143,12 +153,8 @@ class Engine:
         if self._throttled:  # one read of delta serves every view
             delta = self.graph.min_degree()
             budget = relabel_budget(self.n, delta, self.config.budget_coeff)
-        for inst, packing in self._views.items():
-            if packing is None:  # nothing reads a direct view's deltas
-                inst.apply_update(key, sign, budget)
-            else:
-                for quotient_edge, d in inst.apply_update(key, sign, budget, {}):
-                    packing.apply_delta(quotient_edge, d)
+        for inst in self._views:
+            inst.apply_update(key, sign, budget)
 
     # -- on-demand stats -------------------------------------------------
 
@@ -167,25 +173,15 @@ class Engine:
     def audit(self) -> None:
         """Check the engine's invariants; raises AssertionError naming the
         first broken one. Runs the graph's audit, then each distinct view's,
-        and checks that every view reads the engine's graph and that each
-        packing holds its view's quotient weights."""
+        and checks that every view reads the engine's graph. A packed view's
+        quotient weights are its packing's, so they need no comparison."""
         self.graph.audit()
-        for inst, packing in self._views.items():
+        for inst in self._views:
             if inst.graph is not self.graph:
                 raise AssertionError(
                     f"views: the view on {len(inst.centers)} centers reads"
                     " another graph")
             inst.audit()
-            if packing is None:
-                continue
-            packed = {e: w for e, w in packing.edges() if w}
-            quotient = dict(inst.contracted_graph().edges())
-            if packed != quotient:
-                c = min(c for c in packed.keys() | quotient.keys()
-                        if packed.get(c, 0) != quotient.get(c, 0))
-                raise AssertionError(
-                    f"packing: edge {c} weighs {packed.get(c, 0)} in the"
-                    f" packing, {quotient.get(c, 0)} in its view's quotient")
 
     # -- queries ---------------------------------------------------------
 

@@ -8,6 +8,22 @@ from .forest import DynamicForest
 from .graph_core import EdgeKey, WeightedGraph, WeightError
 
 
+class _Weights(dict):
+    """A packing's positive weights by edge. Setting or deleting an item
+    goes through the packing's apply_delta; the packing itself writes the
+    dict with the plain dict methods."""
+
+    def __init__(self, packing: ForestPacking) -> None:
+        super().__init__()
+        self._packing = packing
+
+    def __setitem__(self, e: EdgeKey, w: int) -> None:
+        self._packing.apply_delta(e, w - self.get(e, 0))
+
+    def __delitem__(self, e: EdgeKey) -> None:
+        self._packing.apply_delta(e, -self[e])
+
+
 class ForestPacking:
     """Maintains forests T_0..T_{k-1} packing a dynamically weighted graph.
 
@@ -37,7 +53,8 @@ class ForestPacking:
     strictly deeper, at most once per level.
 
     Edges are named by their canonical keys (edge_key order), taken as
-    given: the caller makes each key once.
+    given: the caller makes each key once. A caller may write the weights
+    dict as its own: the packing follows each write.
     """
 
     def __init__(self, depth: int, n: int, vertices: Iterable[int] | None = None) -> None:
@@ -47,7 +64,7 @@ class ForestPacking:
         self.n = n
         self.vertices: set[int] = set(range(n) if vertices is None else vertices)
         self._levels = [DynamicForest(n) for _ in range(depth)]
-        self._weight: dict[EdgeKey, int] = {}
+        self.weights = _Weights(self)
         self._usage: dict[EdgeKey, set[int]] = {}
         # per edge, the length k of its presence prefix: e is in the forests
         # of levels 0..k-1, a prefix that only grows and shrinks at its end
@@ -57,7 +74,7 @@ class ForestPacking:
         self._unions: dict[int, WeightedGraph] = {}
 
     def weight(self, e: EdgeKey) -> int:
-        return self._weight.get(e, 0)
+        return self.weights.get(e, 0)
 
     def used_levels(self, e: EdgeKey) -> frozenset[int]:
         return frozenset(self._usage.get(e, ()))
@@ -66,7 +83,7 @@ class ForestPacking:
         return set(self._levels[i].tree_edges())
 
     def edges(self) -> Iterable[tuple[EdgeKey, int]]:
-        return self._weight.items()
+        return self.weights.items()
 
     def union_graph(self, k: int | None = None) -> WeightedGraph:
         """Union of the first k forests (all of them when k is None):
@@ -91,7 +108,7 @@ class ForestPacking:
 
     def apply_delta(self, e: EdgeKey, delta: int) -> None:
         """Shift weight(e) by delta, decomposed into unit changes."""
-        if self._weight.get(e, 0) + delta < 0:
+        if self.weights.get(e, 0) + delta < 0:
             raise WeightError(f"weight of {e} would become negative")
         for _ in range(delta):
             self.increment(e)
@@ -99,21 +116,21 @@ class ForestPacking:
             self.decrement(e)
 
     def increment(self, e: EdgeKey) -> None:
-        self._weight[e] = self._weight.get(e, 0) + 1
+        dict.__setitem__(self.weights, e, self.weights.get(e, 0) + 1)
         self._settle(e)
 
     def decrement(self, e: EdgeKey) -> None:
-        w = self._weight.get(e, 0)
+        w = self.weights.get(e, 0)
         if w == 0:
             raise WeightError(f"edge {e} has no weight to remove")
-        self._weight[e] = w - 1
+        dict.__setitem__(self.weights, e, w - 1)
         self._settle(e)
 
     # -- internal machinery -------------------------------------------------
 
     def _target(self, key: EdgeKey) -> int:
         # deepest presence required by the residual rule, as a prefix length
-        w = self._weight.get(key, 0)
+        w = self.weights.get(key, 0)
         used = self._usage.get(key)
         if w == 0:
             return 0
@@ -125,7 +142,7 @@ class ForestPacking:
         stack = [key]
         while stack:
             e = stack.pop()
-            w = self._weight.get(e, 0)
+            w = self.weights.get(e, 0)
             used = self._usage.setdefault(e, set())
             present = self._present.get(e, 0)
             # Release over-committed forest copies, deepest first. Each
@@ -161,7 +178,7 @@ class ForestPacking:
             else:
                 self._present.pop(e, None)
             if w == 0 and not used:
-                self._weight.pop(e, None)
+                self.weights.pop(e, None)
                 self._usage.pop(e, None)
 
     def _shift_unions(self, e: EdgeKey, lvl: int, delta: int) -> None:

@@ -450,10 +450,10 @@ def test_criterion_11_update_time_trend(monkeypatch):
     retarget = StarInstance._retarget
     apply_update = StarInstance.apply_update
 
-    def counted_retarget(self, f, pair, deltas):
+    def counted_retarget(self, *args):
         nonlocal moves
         moves += 1
-        retarget(self, f, pair, deltas)
+        retarget(self, *args)
 
     def checked_apply_update(self, e, sign, budget):
         # the bound is the paper's budget at the graph's minimum degree, not

@@ -120,14 +120,6 @@ def test_audit_names_the_broken_check(mode, check, corrupt):
         eng.audit()
 
 
-def test_audit_catches_a_packing_that_left_its_view():
-    eng, view = _engine(MODE_PACKED)
-    eng._views[view].apply_delta(_quotient_edge(view), 1)
-    view.audit()  # the view itself is sound
-    with pytest.raises(AssertionError, match="^packing: "):
-        eng.audit()
-
-
 def test_audit_survives_optimized_python():
     # python -O strips assert statements; the audits raise explicitly
     script = (

@@ -10,6 +10,7 @@ import pytest
 
 from dyncut import (
     DynamicGraph,
+    ForestPacking,
     StarInstance,
     WeightedGraph,
     WeightError,
@@ -22,25 +23,29 @@ from dyncut.contraction import (
     center_probability,
     relabel_budget,
 )
+from test_packing import _check_invariants
 
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
 
 def _star(n: int, threshold: int = 1, center_coeff: float = DEFAULT_CENTER_COEFF,
           seed: int = 0, centers: frozenset[int] | None = None,
-          graph: DynamicGraph | None = None) -> StarInstance:
+          graph: DynamicGraph | None = None,
+          weights: dict | None = None) -> StarInstance:
     """An instance on n vertices whose samplers draw from random.Random(seed).
 
     Unless centers are given, that generator first draws them as the engine
     draws a cell's: each vertex in id order with center_probability(n,
     threshold, center_coeff). The instance reads graph, or by default a
-    fresh graph of its own.
+    fresh graph of its own, and writes its quotient weights into weights,
+    or by default a dict of its own.
     """
     rng = random.Random(seed)
     if centers is None:
         p = center_probability(n, threshold, center_coeff)
         centers = frozenset(v for v in range(n) if rng.random() < p)
-    return StarInstance(DynamicGraph(n) if graph is None else graph, centers, rng)
+    return StarInstance(DynamicGraph(n) if graph is None else graph, centers, rng,
+                        weights)
 
 
 def _apply(inst: StarInstance, e, sign: int, budget_coeff=None, budget=math.inf):
@@ -49,8 +54,7 @@ def _apply(inst: StarInstance, e, sign: int, budget_coeff=None, budget=math.inf)
     Without a budget coefficient the instance drains up to budget queued
     edges, by default its whole relabel queue; with one it drains the
     relabel budget at the updated graph's minimum degree, as the engine
-    hands it. The instance records its quotient deltas in a fresh dict, as
-    for a view with a packing, and returns them.
+    hands it.
     """
     if sign == 1:
         inst.graph.insert_edge(e)
@@ -59,7 +63,7 @@ def _apply(inst: StarInstance, e, sign: int, budget_coeff=None, budget=math.inf)
     if budget_coeff is not None:
         graph = inst.graph
         budget = relabel_budget(graph.n, graph.min_degree(), budget_coeff)
-    return inst.apply_update(edge_key(*e), sign, budget, {})
+    inst.apply_update(edge_key(*e), sign, budget)
 
 
 def _recontract(inst: StarInstance) -> WeightedGraph:
@@ -117,13 +121,13 @@ def test_center_count_concentrates():
 
 def test_insert_between_centers():
     inst = _star(4, centers=frozenset({0, 1}))
-    assert _apply(inst, (0, 1), +1) == [((0, 1), 1)]
+    _apply(inst, (0, 1), +1)
     assert dict(inst.contracted_graph().edges()) == {(0, 1): 1}
 
 
 def test_insert_between_orphan_noncenters():
     inst = _star(4, centers=frozenset({0}))
-    assert _apply(inst, (2, 3), +1) == []
+    _apply(inst, (2, 3), +1)
     assert not inst.is_complete()
 
 
@@ -252,9 +256,8 @@ def test_eager_equals_full_lazy_drain(seed):
             graph.insert_edge(e)
             present.add(e)
         budget = relabel_budget(n, graph.min_degree())
-        assert eager.apply_update(e, sign, math.inf, {}) == lazy.apply_update(
-            e, sign, budget, {}
-        )
+        eager.apply_update(e, sign, math.inf)
+        lazy.apply_update(e, sign, budget)
         assert eager.contracted_graph() == lazy.contracted_graph()
         assert lazy.queue_length() == 0 and not lazy.has_pending()
         _scan_consistency(eager)
@@ -285,10 +288,10 @@ def test_lazy_tiny_budget_still_coherent(monkeypatch):
     retarget = StarInstance._retarget
     apply_update = StarInstance.apply_update
 
-    def counted_retarget(self, f, pair, deltas):
+    def counted_retarget(self, *args):
         nonlocal moves
         moves += 1
-        retarget(self, f, pair, deltas)
+        retarget(self, *args)
 
     def counted_apply_update(self, *args):
         nonlocal moves
@@ -319,15 +322,14 @@ def test_lazy_tiny_budget_still_coherent(monkeypatch):
 def test_rep_table_follows_samplers(seed):
     # under a budget of one edge move per update the samplers move while
     # queues stay undrained and non-centers gain and lose their last center,
-    # and the table must follow every sample the samplers hold, with or
-    # without a dict for the deltas
+    # and the table must follow every sample the samplers hold
     n = 24
     inst = _star(n, threshold=8, center_coeff=1.0, seed=seed)
     assert inst.centers != frozenset(range(n))
     rng = random.Random(seed + 70)
     present: set = set()
     moved = 0
-    for step in range(600):
+    for _ in range(600):
         u, v = rng.sample(range(n), 2)
         e = edge_key(u, v)
         sign = -1 if e in present else 1
@@ -337,71 +339,57 @@ def test_rep_table_follows_samplers(seed):
             inst.graph.insert_edge(e)
         else:
             inst.graph.delete_edge(e)
-        out = inst.apply_update(e, sign, 1, {} if step % 2 else None)
-        if step % 2 == 0:
-            assert out == []
+        assert inst.apply_update(e, sign, 1) == []
         inst.audit()
         moved += before != [inst.representative(x) for x in range(n)]
     assert moved >= 20
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_delta_dict_changes_nothing_but_the_record(seed):
-    # two views on one graph with the same centers and sampler seeds, one
-    # handed no dict for the deltas and one a fresh dict, take the same
-    # stream under a budget of one edge move per update: they must hold the
-    # same state after every step, and the recorded deltas must be the net
-    # change of the recording view's quotient
-    n = 24
-    graph = DynamicGraph(n)
-    plain = _star(n, threshold=8, center_coeff=1.0, seed=seed, graph=graph)
-    recorded = _star(n, threshold=8, center_coeff=1.0, seed=seed, graph=graph)
-    assert plain.centers == recorded.centers != frozenset(range(n))
-    rng = random.Random(seed + 90)
-    present: set = set()
-    queued = changed = 0
-    for _ in range(600):
-        e = edge_key(*rng.sample(range(n), 2))
-        sign = -1 if e in present else 1
-        present ^= {e}
-        if sign == 1:
-            graph.insert_edge(e)
-        else:
-            graph.delete_edge(e)
-        before = dict(recorded.contracted_graph().edges())
-        assert plain.apply_update(e, sign, 1) == []
-        out = recorded.apply_update(e, sign, 1, {})
-        after = dict(recorded.contracted_graph().edges())
-        assert dict(out) == {
-            c: after.get(c, 0) - before.get(c, 0) for c in before.keys() | after.keys()
-            if after.get(c, 0) != before.get(c, 0)
-        }
-        assert len(dict(out)) == len(out)
-        assert plain.contracted_graph() == recorded.contracted_graph()
-        assert plain._rep == recorded._rep
-        assert list(plain._queue.items()) == list(recorded._queue.items())
-        assert plain._unmapped == recorded._unmapped
-        recorded.audit()
-        queued += recorded.has_pending()
-        changed += bool(out)
-    assert queued >= 100 and changed >= 100
-
-
-@pytest.mark.parametrize("deltas", [None, {}], ids=["plain", "recorded"])
-def test_deleting_below_a_zero_quotient_weight_raises(deltas):
+@pytest.mark.parametrize("packed", [False, True], ids=["plain", "packed"])
+def test_deleting_below_a_zero_quotient_weight_raises(packed):
     # the view writes its own quotient weights; once the weight of a pair is
     # gone, deleting a live edge counted under that pair must raise rather
-    # than store a zero or negative weight
-    inst = _star(4, centers=frozenset({0, 1}))
+    # than store a zero or negative weight, and leave a packing that holds
+    # the weights as it was
+    packing = ForestPacking(2, 4, {0, 1}) if packed else None
+    weights = {} if packing is None else packing.weights
+    inst = _star(4, centers=frozenset({0, 1}), weights=weights)
     _apply(inst, (0, 1), +1)
     quotient = inst.contracted_graph()
-    quotient.add_weight((0, 1), -1)
+    del weights[(0, 1)]
     assert dict(quotient.edges()) == {}
+    if packing is not None:
+        assert packing.used_levels((0, 1)) == frozenset()  # it followed the del
     inst.graph.delete_edge((0, 1))
     with pytest.raises(WeightError):
-        inst.apply_update((0, 1), -1, math.inf, deltas)
+        inst.apply_update((0, 1), -1, math.inf)
     assert all(w > 0 for _, w in quotient.edges())
     assert quotient.weight((0, 1)) == 0
+    assert weights == {}
+    if packing is not None:
+        assert packing.used_levels((0, 1)) == frozenset()
+
+
+def test_view_on_a_packings_weights_keeps_the_packing_on_its_quotient():
+    # a view built on a packing's weights hands every write to the packing;
+    # under a budget of one edge move per update, relabels queue and drain,
+    # and after every update the packing must be a valid packing of the
+    # view's quotient, held in the one dict the two share
+    n, depth = 16, 4
+    packing = ForestPacking(depth, n)
+    inst = _star(n, threshold=12, center_coeff=1.0, seed=3, weights=packing.weights)
+    saw_pending = False
+
+    def check(i):
+        nonlocal saw_pending
+        saw_pending = saw_pending or i.has_pending()
+        i.audit()
+        _check_invariants(packing, n, depth, dict(i.contracted_graph().edges()))
+        assert i._weights is packing.weights
+
+    _drive(inst, 91, n, 300, check, budget=1)
+    assert saw_pending, "budget never throttled the queue"
+    assert inst.contracted_graph().edge_count > 0
 
 
 def _budgeted(inst: StarInstance, budget: float):
@@ -513,10 +501,10 @@ def test_relabel_moves_or_queues_all_its_stale_edges(monkeypatch, budget):
         log["early"], log["queue"] = log["moves"], set(self._queue)
         drain(self, *args)
 
-    def watched_apply_update(self, key, sign, b, deltas=None):
+    def watched_apply_update(self, key, sign, b):
         reps, stale = list(self._rep), set(self._queue)
         log.update(moves=0, early=None, queue=None)
-        out = apply_update(self, key, sign, b, deltas)
+        out = apply_update(self, key, sign, b)
         assert log["moves"] <= b  # besides the update's own edge
         early = log["moves"] if log["early"] is None else log["early"]
         queue = set(self._queue) if log["queue"] is None else log["queue"]

@@ -354,11 +354,11 @@ def test_relabel_queues_hold_live_edges_once(mode):
 
 
 def test_packed_and_direct_views_agree_under_a_binding_budget():
-    # only a view with a packing is handed a dict for its quotient deltas;
-    # recording them must change nothing the view holds, so with queues
-    # left undrained by a budget of one edge move per update, the packed
-    # and direct engines' views agree view by view, and the packed engine's
-    # audit finds each packing holding its view's quotient weights
+    # a packed view writes its quotient weights into its packing's; that
+    # must change nothing the view holds, so with queues left undrained by
+    # a budget of one edge move per update, the packed and direct engines'
+    # views agree view by view, and each packed view shares its packing's
+    # weights dict
     stream = generate_stream("dense-regular", 32, 1500, 4, degree=10)
     engines = [Engine(32, _cfg(mode, seed=4, center_coeff=1.0,
                                budget_coeff=1e-4)) for mode in MODES]
@@ -368,7 +368,8 @@ def test_packed_and_direct_views_agree_under_a_binding_budget():
     packed, direct = (list(eng._views.items()) for eng in engines)
     assert len(packed) == len(direct) > 1
     assert sum(view.queue_length() for view, _ in direct) > 0
-    for (p, _), (d, _) in zip(packed, direct):
+    for (p, packing), (d, _) in zip(packed, direct):
+        assert p._weights is packing.weights
         assert p.centers == d.centers
         assert p.contracted_graph() == d.contracted_graph()
         assert p.queue_length() == d.queue_length()
