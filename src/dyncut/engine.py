@@ -172,15 +172,17 @@ class Engine:
 
     def audit(self) -> None:
         """Check the engine's invariants; raises AssertionError naming the
-        first broken one. Runs the graph's audit, then each distinct view's,
-        and checks that every view reads the engine's graph. A packed view's
-        quotient weights are its packing's, so they need no comparison."""
+        first broken one. Runs the graph's audit; then, per distinct view,
+        checks that it reads the engine's graph and runs the audit of its
+        packing (in packed mode, over the weights the view writes) and its own."""
         self.graph.audit()
-        for inst in self._views:
+        for inst, packing in self._views.items():
             if inst.graph is not self.graph:
                 raise AssertionError(
                     f"views: the view on {len(inst.centers)} centers reads"
                     " another graph")
+            if packing is not None:
+                packing.audit()
             inst.audit()
 
     # -- queries ---------------------------------------------------------

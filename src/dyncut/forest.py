@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import compress
 from typing import Iterator, NamedTuple
 
 from .graph_core import EdgeKey
@@ -29,7 +31,7 @@ class DynamicForest:
     pair is present at most once. Components carry integer labels so
     connectivity checks are O(1); structural changes relabel one side and
     deletions of forest edges search the detached side for a reconnecting
-    spare edge.
+    spare edge. audit() checks the labels against the tree edges.
     """
 
     def __init__(self, n: int) -> None:
@@ -102,6 +104,41 @@ class DynamicForest:
         self._size[fresh] = len(side)
         self._size[old] -= len(side)
         return DeleteResult(True, None)
+
+    def audit(self) -> None:
+        """Check the labels against the tree and spare edges; raises
+        AssertionError naming the first broken check: "labels" (a size held
+        that is not its label's vertex count, a tree component that closes
+        a cycle or is not its label's whole class, or an isolated vertex
+        that shares its label) or "spare" (a spare edge joining two labels).
+        """
+        label, tree = self._label, self._tree
+        sizes = dict(Counter(label))
+        if sizes != self._size:
+            c = min(c for c in sizes.keys() | self._size.keys()
+                    if sizes.get(c) != self._size.get(c))
+            raise AssertionError(
+                f"labels: label {c} is held at size {self._size.get(c)},"
+                f" {sizes.get(c, 0)} vertices carry it")
+        seen: set[int] = set()
+        for root in compress(range(self.n), tree):  # vertices with tree edges
+            if root in seen:
+                continue
+            side = self._reach(root)
+            if (sizes[label[root]] != len(side)
+                    or sum(len(tree[x]) for x in side) != 2 * (len(side) - 1)
+                    or any(label[x] != label[root] for x in side)):
+                raise AssertionError(
+                    f"labels: the tree component of vertex {root} is not an"
+                    f" acyclic class of label {label[root]}")
+            seen |= side
+        if len(sizes) != self.n - sum(map(len, tree)) // 2:
+            raise AssertionError(f"labels: {len(sizes)} labels, not one per component")
+        for u in compress(range(self.n), self._spare):
+            for v in self._spare[u]:
+                if label[u] != label[v]:
+                    raise AssertionError(
+                        f"spare: edge {u}-{v} joins labels {label[u]} and {label[v]}")
 
     def _reach(self, root: int) -> set[int]:
         seen = {root}

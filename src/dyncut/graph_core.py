@@ -175,12 +175,12 @@ class WeightedGraph:
         w = self._w.get(e, 0) + delta
         if w < 0:
             raise WeightError(f"weight of {e} would become {w}")
-        if w == 0:
-            self._w.pop(e, None)
-        else:
+        if w > 0:
             self._w[e] = w
             self.vertices.add(e[0])
             self.vertices.add(e[1])
+        elif delta:  # del, not pop: a shared dict follows each del
+            del self._w[e]
 
     def weight(self, e: EdgeKey) -> int:
         return self._w.get(e, 0)

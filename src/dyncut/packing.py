@@ -54,7 +54,8 @@ class ForestPacking:
 
     Edges are named by their canonical keys (edge_key order), taken as
     given: the caller makes each key once. A caller may write the weights
-    dict as its own: the packing follows each write.
+    dict as its own: the packing follows each write. audit() checks the
+    invariants above, each level's forest and the cached prefix unions.
     """
 
     def __init__(self, depth: int, n: int, vertices: Iterable[int] | None = None) -> None:
@@ -73,17 +74,11 @@ class ForestPacking:
         # _settle once it has been read
         self._unions: dict[int, WeightedGraph] = {}
 
-    def weight(self, e: EdgeKey) -> int:
-        return self.weights.get(e, 0)
-
     def used_levels(self, e: EdgeKey) -> frozenset[int]:
         return frozenset(self._usage.get(e, ()))
 
     def level_forest(self, i: int) -> set[EdgeKey]:
         return set(self._levels[i].tree_edges())
-
-    def edges(self) -> Iterable[tuple[EdgeKey, int]]:
-        return self.weights.items()
 
     def union_graph(self, k: int | None = None) -> WeightedGraph:
         """Union of the first k forests (all of them when k is None):
@@ -125,6 +120,52 @@ class ForestPacking:
             raise WeightError(f"edge {e} has no weight to remove")
         dict.__setitem__(self.weights, e, w - 1)
         self._settle(e)
+
+    def audit(self) -> None:
+        """Check the invariants above; runs each level's forest audit, then
+        raises AssertionError naming the first broken check and an edge that
+        breaks it: "weights" (a weight that is not positive), "usage" (an
+        edge used with no weight, at a level out of range, or at more levels
+        than its weight or the depth), "forest" (a level whose tree edges
+        are not the edges used there), "maximal" (an edge live at a level
+        whose forest leaves its endpoints apart) or "union" (a cached union
+        of the first k forests that is not the usage counts below k).
+        """
+        for forest in self._levels:
+            forest.audit()
+        weights, usage, depth = self.weights, self._usage, self.depth
+        for e, w in weights.items():
+            if not w > 0:
+                raise AssertionError(f"weights: edge {e} weighs {w}")
+        trees: list[set[EdgeKey]] = [set() for _ in range(depth)]
+        levels = set(range(depth))
+        for e, used in usage.items():
+            if e not in weights or len(used) > weights[e] or not used <= levels:
+                raise AssertionError(
+                    f"usage: edge {e} of weight {weights.get(e, 0)} is used at"
+                    f" levels {sorted(used)} of {depth}")
+            for i in used:
+                trees[i].add(e)
+        for i, forest in enumerate(self._levels):
+            held = set(forest.tree_edges())
+            if held != trees[i]:
+                raise AssertionError(f"forest: level {i} and the usage differ on"
+                                     f" tree edge {min(held ^ trees[i])}")
+        for e, w in weights.items():
+            # e is live at level i while w exceeds its uses below i: with at
+            # most w uses, at every level or up to its last use
+            used = usage.get(e, ())
+            live = max(used) + 1 if len(used) == w else depth
+            for i, forest in enumerate(self._levels[:live]):
+                if not forest.connected(*e):
+                    raise AssertionError(f"maximal: edge {e} is live at level {i},"
+                                         " whose forest leaves its endpoints apart")
+        for k, g in self._unions.items():
+            held = dict(g.edges())
+            for e in held.keys() | usage.keys():
+                if held.get(e, 0) != sum(1 for j in usage.get(e, ()) if j < k):
+                    raise AssertionError(f"union: the first {k} forests weigh {e} at"
+                                         f" {held.get(e, 0)}, not its uses below {k}")
 
     # -- internal machinery -------------------------------------------------
 

@@ -1,9 +1,10 @@
 """Engine.audit and the audits under it catch each kind of broken state.
 
 Each test builds a small engine whose contracting views hold undrained
-relabel queues, corrupts exactly one field, and expects the audit to name
-the check that field breaks. An audit that checked nothing would pass the
-sound engine and fail every one of these.
+relabel queues, corrupts exactly one field (of a contracting view's packing
+for the packing and forest checks), and expects the audit to name the check
+that field breaks. An audit that checked nothing would pass the sound
+engine and fail every one of these.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from dyncut import (
     EngineConfig,
     generate_stream,
 )
+from dyncut.cli import main
 from dyncut.streams import DELETE, INSERT
 
 MODES = (MODE_PACKED, MODE_DIRECT)
@@ -118,6 +120,89 @@ def test_audit_names_the_broken_check(mode, check, corrupt):
     corrupt(eng, view)
     with pytest.raises(AssertionError, match=f"^{check}: "):
         eng.audit()
+
+
+def _used_edge(packing):
+    return next(e for e, used in sorted(packing._usage.items()) if used)
+
+
+def _corrupt_labels(packing):
+    forest = packing._levels[0]
+    forest._size[forest._label[0]] += 1
+
+
+def _corrupt_spare(packing):
+    forest = packing._levels[-1]
+    u, v = next((u, v) for u in range(forest.n) for v in range(u + 1, forest.n)
+                if not forest.connected(u, v))
+    forest._spare[u][v] = forest._spare[v][u] = None
+
+
+def _corrupt_weights(packing):
+    dict.__setitem__(packing.weights, _used_edge(packing), 0)
+
+
+def _corrupt_usage(packing):
+    packing._usage[_used_edge(packing)].add(packing.depth)
+
+
+def _corrupt_forest(packing):
+    used = packing._usage[_used_edge(packing)]
+    used.discard(min(used))
+
+
+def _corrupt_maximal(packing):
+    # one more copy of an edge whose copies are all used is live at every
+    # level, the last of which leaves its endpoints apart
+    last = packing._levels[-1]
+    e, w = next((e, w) for e, w in sorted(packing.weights.items())
+                if len(packing.used_levels(e)) == w and not last.connected(*e))
+    dict.__setitem__(packing.weights, e, w + 1)
+
+
+def _corrupt_union(packing):
+    packing.union_graph(1).add_weight(_used_edge(packing), 1)
+
+
+# (the check each corruption of a packing or its forests breaks, the corruption)
+PACKING_CORRUPTIONS = [
+    ("labels", _corrupt_labels),
+    ("spare", _corrupt_spare),
+    ("weights", _corrupt_weights),
+    ("usage", _corrupt_usage),
+    ("forest", _corrupt_forest),
+    ("maximal", _corrupt_maximal),
+    ("union", _corrupt_union),
+]
+
+
+@pytest.mark.parametrize("check,corrupt", PACKING_CORRUPTIONS,
+                         ids=[check for check, _ in PACKING_CORRUPTIONS])
+def test_packed_audit_names_the_broken_check(check, corrupt):
+    eng, view = _engine(MODE_PACKED)
+    corrupt(eng._views[view])
+    with pytest.raises(AssertionError, match=f"^{check}: "):
+        eng.audit()
+
+
+def test_verify_reports_a_broken_packing(tmp_path, capsys, monkeypatch):
+    # the answer is right, but the query leaves the identity view's packing
+    # with a wrong component size, which only the audit can see
+    path = tmp_path / "triangle.txt"
+    path.write_text("n 3\n+ 0 1\n+ 1 2\n+ 0 2\n?\n")
+    answer = Engine.query_value
+
+    def answer_then_corrupt(self):
+        value = answer(self)
+        _corrupt_labels(next(iter(self._views.values())))
+        return value
+
+    monkeypatch.setattr(Engine, "query_value", answer_then_corrupt)
+    code = main(["verify", str(path), "--mode", "packed", "--copies", "2"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert "checked 1 queries, 1 mismatches" in out
+    assert "AUDIT FAILED at query 1: labels: " in err
 
 
 def test_audit_survives_optimized_python():

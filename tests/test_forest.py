@@ -1,4 +1,4 @@
-"""Dynamic spanning forest: delta contract and component partition oracle."""
+"""Dynamic spanning forest: delta contract, audit and connectivity oracle."""
 
 from __future__ import annotations
 
@@ -34,18 +34,13 @@ def _bfs_components(n: int, edges) -> list[int]:
     return comp
 
 
-def _partition(comp: list[int]) -> set[frozenset[int]]:
-    groups: dict[int, set[int]] = {}
-    for v, c in enumerate(comp):
-        groups.setdefault(c, set()).add(v)
-    return {frozenset(g) for g in groups.values()}
-
-
-def _forest_partition(f: DynamicForest, n: int) -> set[frozenset[int]]:
-    groups: dict[int, set[int]] = {}
-    for v in range(n):
-        groups.setdefault(f._label[v], set()).add(v)
-    return {frozenset(g) for g in groups.values()}
+def _check(f: DynamicForest, n: int, live) -> None:
+    """The forest passes its audit and connects the pairs the live edges do."""
+    f.audit()
+    comp = _bfs_components(n, live)
+    for u in range(n):
+        for v in range(u + 1, n):
+            assert f.connected(u, v) == (comp[u] == comp[v]), (u, v)
 
 
 def _state(f: DynamicForest):
@@ -153,7 +148,7 @@ def test_connected_path():
     assert f.connected(0, 2)
 
 
-def _random_run(seed: int, n: int, steps: int, check_pairs: bool = False) -> None:
+def _random_run(seed: int, n: int, steps: int) -> None:
     rng = random.Random(seed)
     f = DynamicForest(n)
     live: set[tuple[int, int]] = set()
@@ -182,14 +177,7 @@ def _random_run(seed: int, n: int, steps: int, check_pairs: bool = False) -> Non
             after = set(f.tree_edges())
             assert len(after - before) <= 1
             assert before <= after
-        comp = _bfs_components(n, live)
-        assert _forest_partition(f, n) == _partition(comp)
-        # acyclicity: tree edge count == n - number of components
-        assert len(after) == n - len(set(comp))
-        if check_pairs:
-            for u in range(n):
-                for v in range(u + 1, n):
-                    assert f.connected(u, v) == (comp[u] == comp[v])
+        _check(f, n, live)
 
 
 def test_partition_matches_bfs_oracle():
@@ -198,7 +186,7 @@ def test_partition_matches_bfs_oracle():
 
 
 def test_connected_agrees_on_all_pairs():
-    _random_run(777, n=20, steps=200, check_pairs=True)
+    _random_run(777, n=20, steps=200)
 
 
 _OPS = st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=80)
@@ -219,5 +207,35 @@ def test_property_random_sequences(pairs):
         else:
             f.insert(e)
             live.add(e)
-        comp = _bfs_components(10, live)
-        assert _forest_partition(f, 10) == _partition(comp)
+        _check(f, 10, live)
+
+
+def _cycle(f):
+    f._tree[0][2] = f._tree[2][0] = None
+
+
+def _mixed_class(f):
+    # vertex 2 of the path takes isolated vertex 3's label; sizes follow
+    f._size[f._label[0]] -= 1
+    f._size[f._label[3]] += 1
+    f._label[2] = f._label[3]
+
+
+def _shared_isolated(f):
+    # isolated vertices 3 and 4 share one label; sizes follow
+    del f._size[f._label[3]]
+    f._label[3] = f._label[4]
+    f._size[f._label[4]] = 2
+
+
+@pytest.mark.parametrize("corrupt", [_cycle, _mixed_class, _shared_isolated])
+def test_audit_catches_labels_whose_sizes_agree(corrupt):
+    # the "labels" row of test_audit.py breaks a held size; these keep every
+    # size equal to its label's vertex count and break the tree instead
+    f = DynamicForest(5)
+    f.insert((0, 1))
+    f.insert((1, 2))
+    f.audit()
+    corrupt(f)
+    with pytest.raises(AssertionError, match="^labels: "):
+        f.audit()

@@ -7,59 +7,13 @@ from itertools import combinations
 
 import pytest
 
-from dyncut import ForestPacking, WeightError, edge_key
+from dyncut import ForestPacking, WeightedGraph, WeightError, edge_key
 
 
-def _components(n: int, edges) -> list[int]:
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in edges:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    # canonical label: smallest vertex of the component
-    smallest: dict[int, int] = {}
-    for v in range(n):
-        r = find(v)
-        smallest.setdefault(r, v)
-    return [smallest[find(v)] for v in range(n)]
-
-
-def _check_invariants(p: ForestPacking, n: int, k: int,
-                      weights: dict[tuple[int, int], int]) -> None:
-    """Full scan of disjointness, liveness, spanning, and maximality."""
-    live_weights = {e: w for e, w in weights.items() if w > 0}
-    assert {e for e, _ in p.edges()} == set(live_weights)
-    for e, w in live_weights.items():
-        used = p.used_levels(e)
-        assert p.weight(e) == w
-        assert len(used) == min(len(used), w)  # no overcommit
-        assert len(used) <= min(w, k)
-        assert all(0 <= i < k for i in used)
-    for i in range(k):
-        tree = p.level_forest(i)
-        live_here = {
-            e
-            for e, w in live_weights.items()
-            if w - sum(1 for j in p.used_levels(e) if j < i) > 0
-        }
-        # usage at level i implies liveness there, and tree = used edges
-        assert tree == {e for e in live_weights if i in p.used_levels(e)}
-        assert tree <= live_here
-        comp_tree = _components(n, tree)
-        # acyclic: edge count matches component count
-        assert len(tree) == n - len(set(comp_tree))
-        # spanning: same partition as the whole level graph
-        assert comp_tree == _components(n, live_here)
-        # maximality: unused live edges close cycles
-        for u, v in live_here - tree:
-            assert comp_tree[u] == comp_tree[v], (i, (u, v))
+def _check(p: ForestPacking, weights: dict[tuple[int, int], int]) -> None:
+    """The packing passes its audit and holds the expected positive weights."""
+    p.audit()
+    assert dict(p.weights) == {e: w for e, w in weights.items() if w > 0}
 
 
 def test_first_increment_joins_level_zero():
@@ -72,7 +26,7 @@ def test_parallel_copies_single_level():
     p = ForestPacking(1, 4)
     for _ in range(3):
         p.increment((0, 1))
-    assert p.weight((0, 1)) == 3
+    assert p.weights == {(0, 1): 3}
     assert p.used_levels((0, 1)) == frozenset({0})
 
 
@@ -82,7 +36,7 @@ def test_heavy_edge_fills_every_level():
     p.apply_delta((0, 1), 5)
     assert p.used_levels((0, 1)) == frozenset({0, 1, 2})
     assert dict(p.union_graph().edges()) == {(0, 1): 3}
-    _check_invariants(p, 2, 3, {(0, 1): 5})
+    _check(p, {(0, 1): 5})
 
 
 def _packed_triangle(k: int = 2) -> ForestPacking:
@@ -96,14 +50,14 @@ def test_triangle_fills_two_levels():
     p = _packed_triangle()
     assert p.level_forest(0) == {(0, 1), (1, 2)}
     assert p.level_forest(1) == {(0, 2)}
-    _check_invariants(p, 3, 2, {(0, 1): 1, (1, 2): 1, (0, 2): 1})
+    _check(p, {(0, 1): 1, (1, 2): 1, (0, 2): 1})
 
 
 def test_triangle_increment_joins_deeper_level():
     p = _packed_triangle()
     p.increment((0, 1))
     assert p.used_levels((0, 1)) == frozenset({0, 1})
-    _check_invariants(p, 3, 2, {(0, 1): 2, (1, 2): 1, (0, 2): 1})
+    _check(p, {(0, 1): 2, (1, 2): 1, (0, 2): 1})
 
 
 def test_triangle_decrement_propagates_deletion():
@@ -113,15 +67,14 @@ def test_triangle_decrement_propagates_deletion():
     assert p.level_forest(0) == {(1, 2), (0, 2)}
     assert p.level_forest(1) == set()
     assert p.used_levels((0, 2)) == frozenset({0})
-    _check_invariants(p, 3, 2, {(1, 2): 1, (0, 2): 1})
+    _check(p, {(1, 2): 1, (0, 2): 1})
 
 
 def test_decrement_to_empty():
     p = ForestPacking(2, 2)
     p.increment((0, 1))
     p.decrement((0, 1))
-    assert p.weight((0, 1)) == 0
-    assert list(p.edges()) == []
+    assert p.weights == {}
 
 
 def test_decrement_unused_copy_is_bookkeeping():
@@ -129,7 +82,7 @@ def test_decrement_unused_copy_is_bookkeeping():
     p.apply_delta((0, 1), 3)
     before = p.level_forest(0)
     p.decrement((0, 1))
-    assert p.weight((0, 1)) == 2
+    assert p.weights == {(0, 1): 2}
     assert p.level_forest(0) == before
 
 
@@ -156,7 +109,7 @@ def test_slack_absorbs_bulk_decrement():
     present_before = dict(p._present)
     forests_before = [p.level_forest(i) for i in range(2)]
     p.apply_delta((0, 1), -5)
-    assert p.weight((0, 1)) == 5
+    assert p.weights == {(0, 1): 5}
     assert p.used_levels((0, 1)) == frozenset({0, 1})
     assert p._present == present_before
     assert [p.level_forest(i) for i in range(2)] == forests_before
@@ -189,7 +142,7 @@ def test_random_stress_invariants(seed):
         delta = max(delta, -w)
         p.apply_delta(e, delta)
         weights[e] = w + delta
-        _check_invariants(p, n, k, weights)
+        _check(p, weights)
 
 
 def test_decrement_chain_touches_few_levels():
@@ -213,20 +166,18 @@ def test_decrement_chain_touches_few_levels():
         after = [p.level_forest(i) for i in range(k)]
         changed = sum(1 for i in range(k) if before[i] != after[i])
         assert changed <= k
-        _check_invariants(p, n, k, weights)
+        _check(p, weights)
 
 
 def test_increment_changes_at_most_one_tree_edge():
     rng = random.Random(32)
     n, k = 8, 3
     p = ForestPacking(k, n)
-    weights: dict[tuple[int, int], int] = {}
     for _ in range(200):
         u, v = rng.sample(range(n), 2)
         e = edge_key(u, v)
         before = [p.level_forest(i) for i in range(k)]
         p.increment(e)
-        weights[e] = weights.get(e, 0) + 1
         after = [p.level_forest(i) for i in range(k)]
         diffs = sum(len(before[i] ^ after[i]) for i in range(k))
         assert diffs <= 1
@@ -295,16 +246,7 @@ def test_deep_packing_prefix_is_the_shallow_packing(seed, k):
                 below = frozenset(j for j in p.used_levels(f) if j < k)
                 assert shallow.used_levels(f) == below
             assert dict(p.union_graph(k).edges()) == union
-    _check_invariants(shallow, n, k, weights)
-
-
-def _union_from_usage(p: ForestPacking, k: int) -> dict:
-    counts = {}
-    for e, _ in p.edges():
-        w = sum(1 for j in p.used_levels(e) if j < k)
-        if w:
-            counts[e] = w
-    return counts
+    _check(shallow, weights)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -321,8 +263,8 @@ def test_prefix_unions_stay_current(seed):
         p.apply_delta(e, delta)
         for k, g in unions.items():
             assert p.union_graph(k) is g
-            assert dict(g.edges()) == _union_from_usage(p, k)
             assert g.vertices == set(range(n))
+        p.audit()  # its "union" check reads every cached union
         assert p.union_graph() is p.union_graph(depth)
 
 
@@ -331,3 +273,17 @@ def test_union_graph_rejects_bad_prefix():
     for k in (0, 5):
         with pytest.raises(ValueError):
             p.union_graph(k)
+
+
+def test_weighted_graph_on_packing_weights_deletes_through_the_packing():
+    # a weight written back to zero through a graph that shares the
+    # packing's weights leaves the packing as well as the dict
+    p = ForestPacking(2, 4)
+    g = WeightedGraph(range(4), p.weights)
+    g.add_weight((0, 1), 1)
+    g.add_weight((0, 1), -1)
+    assert p.used_levels((0, 1)) == frozenset()
+    assert p.weights == {}
+    p.audit()
+    g.add_weight((2, 3), 0)  # a zero delta on an absent edge is a no-op
+    assert p.weights == {}
