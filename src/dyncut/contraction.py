@@ -37,13 +37,14 @@ class StarInstance:
 
     The instance contracts onto the center set it is handed; the caller
     draws it (the engine keeps each vertex with center_probability at the
-    cell's threshold) and hands in the random source the samplers draw
-    their priorities from. Every non-center tracks its center neighbors in
-    a StableSampler and is merged into the sampled one; centers represent
-    themselves. A table of n entries holds every vertex's representative:
-    a center's own id, a non-center's sampled center, or None while it has
-    no center neighbor; an entry is written only when its sampler's sample
-    changes, and every read of a representative indexes the table. The
+    cell's threshold) and hands in the random source its one StableSampler
+    draws priorities from. The sampler holds each non-center's center
+    neighbors, keyed by vertex, and the non-center is merged into the
+    sampled one; centers represent themselves. A table of n entries holds
+    every vertex's representative: a center's own id, a non-center's
+    sampled center, or None while it has no center neighbor. The sampler
+    writes an entry when its sample changes, so the table is the sample's
+    only record, and every read of a representative indexes it. The
     instance keeps the resulting weighted quotient graph incrementally:
     every live edge is counted, in the quotient weights or in the unmapped
     counter, under one pair of endpoint representatives, and a quotient
@@ -66,29 +67,29 @@ class StarInstance:
     coefficient and n <= 65,540 the budget is at least n - 1, so no queue
     is written).
     The update's own edge is never queued: an insertion is counted once,
-    under the representatives its sampler update left; a deletion is
+    under the representatives its sample update left; a deletion is
     uncounted under its queued pair, or else the representatives before
-    its sampler update, and taken out. The budget left then pops queued
+    its sample update, and taken out. The budget left then pops queued
     edges (math.inf drains the queue in full), newest first, one unit per
     pop, and moves each one's count to its endpoints' current
     representatives. Moving a fresh edge at once ends where queueing it
     and popping it first would, so the budget decides only how much the
     drain leaves behind.
 
-    audit() checks this invariant and the table on demand.
+    audit() checks this invariant, the samples and the table on demand.
     """
 
     def __init__(self, graph: DynamicGraph, centers: frozenset[int],
                  rng: random.Random | None,
                  weights: dict[EdgeKey, int] | None = None) -> None:
         self.graph = graph
-        self._rng = rng  # None only where no vertex needs a sampler
         self.centers = centers
-        self._samplers: dict[int, StableSampler] = {}
-        # each vertex's representative, kept equal to its sampler's sample
+        # each vertex's representative; the sampler writes a non-center's
         self._rep: list[int | None] = [
             v if v in centers else None for v in range(graph.n)
         ]
+        # rng is None only where no vertex samples
+        self._sampler = StableSampler(rng, self._rep)
         # positive quotient weights by center pair, written only by
         # apply_update and _retarget; the quotient graph shares the dict
         self._weights = {} if weights is None else weights
@@ -136,24 +137,30 @@ class StarInstance:
         """Check the relabel invariant in one pass over the live edges.
 
         Raises AssertionError naming the first broken check and the first
-        vertex or edge that breaks it: "rep table" (an entry that is not
-        the vertex itself for a center, or its sampler's current() or None
-        for a non-center), "queue" (a queued key that is not the canonical
-        key of a live edge), "quotient" (a weight that differs from the
-        number of live edges counted under its pair, each under its queued
-        pair or else its endpoints' current representatives) or "unmapped"
-        (likewise for the edges counted with no representative).
+        vertex or edge that breaks it: "samples" (a center that holds a
+        set, or a non-center whose set is not its center neighbors, or that
+        holds one when it has none), "rep table" (an entry that is not the
+        vertex itself for a center, or its set's minimum-priority element
+        or None for a non-center), "queue" (a queued key that is not the
+        canonical key of a live edge), "quotient" (a weight that differs
+        from the number of live edges counted under its pair, each under its
+        queued pair or else its endpoints' current representatives) or
+        "unmapped" (likewise for the edges counted with no representative).
         """
         rep, queue, graph = self._rep, self._queue, self.graph
+        centers, sampler = self.centers, self._sampler
         for v in range(graph.n):
-            if v in self.centers:
-                want = v
-            else:
-                sampler = self._samplers.get(v)
-                want = None if sampler is None else sampler.current()
+            center = v in centers
+            owned = sampler.members(v)
+            near = None if center else centers.intersection(graph.neighbors(v)) or None
+            if owned != near:  # an empty set owned differs from None
+                raise AssertionError(
+                    f"samples: vertex {v} holds {owned and sorted(owned)}, its"
+                    f" center neighbors are {near and sorted(near)}")
+            want = v if center else sampler.minimum(v)
             if rep[v] != want:
                 raise AssertionError(
-                    f"rep table: vertex {v} maps to {rep[v]}, its samplers to {want}")
+                    f"rep table: vertex {v} maps to {rep[v]}, its sample is {want}")
         for f in queue:
             u, v = f
             if not (0 <= u < v < graph.n and v in graph.neighbors(u)):
@@ -175,9 +182,6 @@ class StarInstance:
             raise AssertionError(
                 f"quotient: edge {c} weighs {held.get(c, 0)}, its live edges"
                 f" number {weights.get(c, 0)}")
-        if self._contracted.vertices != self.centers:
-            strays = sorted(self._contracted.vertices ^ self.centers)
-            raise AssertionError(f"quotient: vertices {strays} are not the centers")
         if self._unmapped != unmapped:
             raise AssertionError(
                 f"unmapped: counted as {self._unmapped}, {unmapped} live edges"
@@ -197,18 +201,15 @@ class StarInstance:
         """
         queue, rep = self._queue, self._rep
         u, v = key
-        if sign == -1:  # read before the sampler update below moves a rep
+        if sign == -1:  # read before the sample update below moves a rep
             counted = queue.pop(key, None) or (rep[u], rep[v])
         u_center = rep[u] == u  # only a center represents itself
         if u_center != (rep[v] == v):
             center, other = (u, v) if u_center else (v, u)
-            sampler = self._samplers.get(other)
-            if sampler is None:
-                sampler = self._samplers[other] = StableSampler(self._rng)
-            changed = sampler.insert(center) if sign == 1 else sampler.remove(center)
+            sampler, before = self._sampler, rep[other]
+            changed = sampler.insert(other, center) if sign == 1 else sampler.remove(other, center)
             if changed:  # other's unqueued edges are still counted under before
-                before = rep[other]
-                after = rep[other] = sampler.current()
+                after = rep[other]
                 edges = self.graph.neighbors(other)
                 now = len(edges) <= budget  # else the budget defers them all
                 for x in edges:

@@ -50,7 +50,7 @@ class Engine:
     Each independent copy c fills one grid cell per threshold 2^i,
     i = 0..floor(log2(n-1)). Where p = center_probability(n, 2^i,
     center_coeff) is below 1, a random.Random seeded from (seed, c, i) keeps
-    each vertex in id order with probability p and feeds the samplers of a
+    each vertex in id order with probability p and feeds the sampler of a
     StarInstance on those centers; one shared identity instance, which never
     samples, fills every cell whose centers are all of V. The view table
     maps each distinct instance to its packing, 2^(i+1) forests deep for

@@ -156,8 +156,9 @@ class DynamicGraph:
 class WeightedGraph:
     """Undirected graph with positive integer edge weights.
 
-    The vertex set is explicit so isolated vertices survive; edge endpoints
-    are added to it automatically. A weight reaching zero removes the edge,
+    The vertex set is explicit so isolated vertices survive, and fixed: a
+    frozenset, the one handed in if it is one, and an edge with an endpoint
+    outside it is a ValueError. A weight reaching zero removes the edge,
     and a weight going negative is a hard error. Edges are named by their
     canonical keys (edge_key order), taken as given.
 
@@ -168,7 +169,7 @@ class WeightedGraph:
 
     def __init__(self, vertices: Iterable[int] = (),
                  weights: dict[EdgeKey, int] | None = None) -> None:
-        self.vertices: set[int] = set(vertices)
+        self.vertices = frozenset(vertices)  # no copy of a frozenset
         self._w: dict[EdgeKey, int] = {} if weights is None else weights
 
     def add_weight(self, e: EdgeKey, delta: int) -> None:
@@ -176,9 +177,9 @@ class WeightedGraph:
         if w < 0:
             raise WeightError(f"weight of {e} would become {w}")
         if w > 0:
+            if not (e[0] in self.vertices and e[1] in self.vertices):
+                raise ValueError(f"edge {e} has an endpoint outside the vertex set")
             self._w[e] = w
-            self.vertices.add(e[0])
-            self.vertices.add(e[1])
         elif delta:  # del, not pop: a shared dict follows each del
             del self._w[e]
 

@@ -148,7 +148,7 @@ def stoer_wagner(g: WeightedGraph) -> CutResult:
                     best_side = list(merged[v])
 
     side = frozenset(best_side)
-    other = frozenset(g.vertices) - side
+    other = g.vertices - side
     # the bipartition is symmetric; report the smaller side, ties by order
     if (len(other), sorted(other)) < (len(side), sorted(side)):
         side = other

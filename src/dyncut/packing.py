@@ -63,7 +63,7 @@ class ForestPacking:
             raise ValueError("packing depth must be positive")
         self.depth = depth
         self.n = n
-        self.vertices: set[int] = set(range(n) if vertices is None else vertices)
+        self.vertices = frozenset(range(n) if vertices is None else vertices)
         self._levels = [DynamicForest(n) for _ in range(depth)]
         self.weights = _Weights(self)
         self._usage: dict[EdgeKey, set[int]] = {}

@@ -1,4 +1,4 @@
-"""Uniform sampling from a dynamic set with minimal sample churn."""
+"""Uniform sampling from dynamic sets with minimal sample churn."""
 
 from __future__ import annotations
 
@@ -6,52 +6,57 @@ import random
 
 
 class StableSampler:
-    """Maintains a uniformly random element of a changing set.
+    """Maintains a uniformly random element of each owner's changing set.
 
-    Every element receives one random 64-bit priority when inserted and the
-    current sample is the minimum-priority element; of equal priorities the
-    earlier insert wins. Because priorities are exchangeable and two of them
-    tie with probability 2^-64, an insert or delete changes the sample with
-    probability 1/|set| (taken after the insert, before the delete) up to
-    that tie chance, and the sample is uniform up to the same margin.
+    Every element receives one random 64-bit priority when inserted and an
+    owner's sample is the minimum-priority element of its set; of equal
+    priorities the earlier insert wins. Because priorities are exchangeable
+    and two of them tie with probability 2^-64, an insert or delete changes
+    the sample with probability 1/|set| (taken after the insert, before the
+    delete) up to that tie chance, and the sample is uniform up to the same
+    margin. The sample is written into the table handed in, at the owner's
+    index, when it changes (None once the set empties) and is kept nowhere
+    else; an owner's priorities are kept only while its set is non-empty.
 
-    Insert is O(1). Removing the current element rescans the rest in
+    Insert is O(1). Removing the sampled element rescans the rest in
     O(|set|); that happens only when the sample changes, and then the
-    caller relabels every edge of the sampling vertex, which costs at least
-    as much.
+    caller relabels every edge of the owner, which costs at least as much.
     """
 
-    __slots__ = ("_rng", "_priority", "_current")
+    __slots__ = ("_rng", "_table", "_priority")
 
-    def __init__(self, rng: random.Random) -> None:
+    def __init__(self, rng: random.Random | None, table: list) -> None:
         self._rng = rng
-        self._priority: dict[int, int] = {}
-        self._current: int | None = None
+        self._table = table
+        self._priority: dict[int, dict] = {}  # owner -> {element: priority}
 
-    def __len__(self) -> int:
-        return len(self._priority)
+    def members(self, owner: int):
+        """The owner's set, read-only, or None when it is empty."""
+        return self._priority[owner].keys() if owner in self._priority else None
 
-    def __contains__(self, x: int) -> bool:
-        return x in self._priority
+    def minimum(self, owner: int):
+        """The owner's minimum-priority element by a scan, None when empty."""
+        priority = self._priority.get(owner, {})
+        return min(priority, key=priority.__getitem__, default=None)
 
-    def current(self) -> int | None:
-        """Minimum-priority element, or None when empty."""
-        return self._current
-
-    def insert(self, x: int) -> bool:
-        """Add x; returns True iff the current sample changed."""
-        if x in self._priority:
+    def insert(self, owner: int, x) -> bool:
+        """Add x to owner's set; returns True iff its sample changed."""
+        priority = self._priority.setdefault(owner, {})
+        if x in priority:
             raise ValueError(f"element {x} already present")
-        p = self._priority[x] = self._rng.getrandbits(64)
-        if self._current is None or p < self._priority[self._current]:
-            self._current = x
+        p = priority[x] = self._rng.getrandbits(64)
+        if len(priority) == 1 or p < priority[self._table[owner]]:
+            self._table[owner] = x
             return True
         return False
 
-    def remove(self, x: int) -> bool:
-        """Remove x; returns True iff the current sample changed."""
-        del self._priority[x]
-        if x != self._current:
+    def remove(self, owner: int, x) -> bool:
+        """Remove x from owner's set; returns True iff its sample changed."""
+        priority = self._priority[owner]
+        del priority[x]
+        if x != self._table[owner]:
             return False
-        self._current = min(self._priority, key=self._priority.__getitem__, default=None)
+        if not priority:
+            del self._priority[owner]
+        self._table[owner] = self.minimum(owner)
         return True

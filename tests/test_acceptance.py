@@ -283,27 +283,28 @@ def test_criterion_07_sampler_uniformity_stability():
     for size in (2, 4, 8):
         counts = [0] * size
         for _ in range(CHI2_TRIALS):
-            s = StableSampler(random.Random(rng.getrandbits(48)))
+            table = [None]
+            s = StableSampler(random.Random(rng.getrandbits(48)), table)
             for x in range(size):
-                s.insert(x)
-            counts[s.current()] += 1
+                s.insert(0, x)
+            counts[table[0]] += 1
         expected = CHI2_TRIALS / size
         stat = sum((c - expected) ** 2 / expected for c in counts)
         worst = max(worst, stat / CHI2_CRIT[size - 1])
         ok = ok and stat < CHI2_CRIT[size - 1]
     ins = 0
     for _ in range(CHI2_TRIALS):
-        s = StableSampler(random.Random(rng.getrandbits(48)))
+        s = StableSampler(random.Random(rng.getrandbits(48)), [None])
         for x in range(3):
-            s.insert(x)
-        ins += 1 if s.insert(3) else 0
+            s.insert(0, x)
+        ins += 1 if s.insert(0, 3) else 0
     ins_err = abs(ins / CHI2_TRIALS - 0.25)
     rem = 0
     for _ in range(CHI2_TRIALS):
-        s = StableSampler(random.Random(rng.getrandbits(48)))
+        s = StableSampler(random.Random(rng.getrandbits(48)), [None])
         for x in range(5):
-            s.insert(x)
-        rem += 1 if s.remove(rng.randrange(5)) else 0
+            s.insert(0, x)
+        rem += 1 if s.remove(0, rng.randrange(5)) else 0
     rem_err = abs(rem / CHI2_TRIALS - 0.2)
     ok = ok and ins_err < CHANGE_TOL and rem_err < CHANGE_TOL
     _verdict(7, "sampler-uniformity-stability", ok,

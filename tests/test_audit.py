@@ -56,6 +56,14 @@ def _corrupt_rep(eng, view):
     view._rep[v] = next(c for c in sorted(view.centers) if c != view._rep[v])
 
 
+def _corrupt_samples(eng, view):
+    # the sampler misses an insert: a non-center's set lacks one of its
+    # center neighbors, though not the one it samples
+    sampler = view._sampler
+    v = next(v for v in range(eng.n) if len(sampler.members(v) or ()) > 1)
+    sampler.remove(v, next(c for c in sampler.members(v) if c != view.representative(v)))
+
+
 def _corrupt_queue(eng, view):
     dead = next((u, v) for u in range(eng.n) for v in range(u + 1, eng.n)
                 if v not in eng.graph.neighbors(u))
@@ -99,6 +107,7 @@ def _corrupt_edge_count(eng, view):
 
 # (the check each corruption breaks, the corruption)
 CORRUPTIONS = [
+    ("samples", _corrupt_samples),
     ("rep table", _corrupt_rep),
     ("queue", _corrupt_queue),
     ("queue", _corrupt_queue_order),

@@ -77,21 +77,11 @@ def _recontract(inst: StarInstance) -> WeightedGraph:
 
 
 def _scan_consistency(inst: StarInstance) -> None:
-    # the relabel invariant, the representative table and the queue's
-    # liveness, in the instance's own one-pass audit
+    # the relabel invariant, the samples, the representative table and the
+    # queue's liveness, in the instance's own one-pass audit; its "quotient"
+    # and "unmapped" checks count each live edge under the pair that
+    # preimage_of reads it under
     inst.audit()
-    # weight(c) == |preimage(c)| for every contracted key
-    contracted = inst.contracted_graph()
-    for c, w in contracted.edges():
-        assert w == len(inst.preimage_of(c)), c
-    # the mapped, non-loop pairs are the preimages of all center pairs:
-    # distinct live edges, as many as the total quotient weight
-    mapped = [
-        f for c in combinations(sorted(inst.centers), 2) for f in inst.preimage_of(c)
-    ]
-    assert len(set(mapped)) == len(mapped)
-    assert set(mapped) <= set(inst.graph.edges())
-    assert contracted.total_weight() == len(mapped)
 
 
 def test_probability_clamps_to_one():
@@ -319,9 +309,10 @@ def test_lazy_tiny_budget_still_coherent(monkeypatch):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_rep_table_follows_samplers(seed):
-    # under a budget of one edge move per update the samplers move while
-    # queues stay undrained and non-centers gain and lose their last center,
-    # and the table must follow every sample the samplers hold
+    # under a budget of one edge move per update samples move while queues
+    # stay undrained and non-centers gain and lose their last center; the
+    # sampler writes each sample into the table, and the audit checks each
+    # entry against its set's minimum-priority element
     n = 24
     inst = _star(n, threshold=8, center_coeff=1.0, seed=seed)
     assert inst.centers != frozenset(range(n))

@@ -339,15 +339,18 @@ def test_relabel_queues_hold_live_edges_once(mode):
     # undrained on most of these 3,000 updates, while representative changes
     # keep adding the same edges and deletions kill queued ones; a queue
     # that kept an edge per change would outgrow the graph (the 160 live
-    # edges here), and the engine's audit finds any dead edge kept
+    # edges here), and each view's audit finds any dead edge kept; packings
+    # under such a budget are audited by the packed-contracting state
+    # machine and by test_view_on_a_packings_weights_keeps_the_packing_on_its_quotient
     stream = generate_stream("dense-regular", 32, 3000, 0, degree=10)
     eng = Engine(32, _cfg(mode, copies=4, seed=3, center_coeff=1.0,
                           budget_coeff=1e-4))
     queued = 0
     for ev in stream.events:
         eng.update(ev.edge, 1 if ev.kind == INSERT else -1)
-        eng.audit()
+        eng.graph.audit()
         for inst in eng._views:
+            inst.audit()
             assert inst.queue_length() <= eng.graph.edge_count
         queued += eng.queue_length() > 0
     assert queued > 1000  # the throttle binds

@@ -121,7 +121,7 @@ def test_non_canonical_key_rejected_without_change(update, e):
 
 
 def test_weighted_add_and_remove():
-    w = WeightedGraph()
+    w = WeightedGraph(range(2))
     w.add_weight((0, 1), 1)
     assert w.weight((0, 1)) == 1
     w.add_weight((0, 1), 2)
@@ -131,10 +131,23 @@ def test_weighted_add_and_remove():
 
 
 def test_weighted_negative_rejected():
-    w = WeightedGraph()
+    w = WeightedGraph(range(2))
     w.add_weight((0, 1), 1)
     with pytest.raises(WeightError):
         w.add_weight((0, 1), -2)
+
+
+def test_weighted_vertex_set_is_fixed_and_shared():
+    # a frozenset handed in is kept as is, and an edge with an endpoint
+    # outside it is rejected before anything changes
+    centers = frozenset({0, 2})
+    w = WeightedGraph(centers)
+    assert w.vertices is centers
+    w.add_weight((0, 2), 1)
+    with pytest.raises(ValueError):
+        w.add_weight((0, 1), 1)
+    assert dict(w.edges()) == {(0, 2): 1}
+    assert w.vertices == {0, 2}
 
 
 def test_weighted_total_tracks_unit_ops():

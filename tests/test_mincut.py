@@ -17,7 +17,7 @@ def _cut_weight(g: WeightedGraph, side: frozenset) -> int:
 
 
 def _triangle_234() -> WeightedGraph:
-    g = WeightedGraph()
+    g = WeightedGraph(range(3))
     g.add_weight((0, 1), 2)
     g.add_weight((0, 2), 3)
     g.add_weight((1, 2), 4)
@@ -57,7 +57,7 @@ def test_disconnected_returns_zero():
 
 
 def _complete(n: int) -> WeightedGraph:
-    g = WeightedGraph()
+    g = WeightedGraph(range(n))
     for u in range(n):
         for v in range(u + 1, n):
             g.add_weight((u, v), 1)
@@ -65,7 +65,7 @@ def _complete(n: int) -> WeightedGraph:
 
 
 def _cycle(n: int) -> WeightedGraph:
-    g = WeightedGraph()
+    g = WeightedGraph(range(n))
     for v in range(n):
         g.add_weight(edge_key(v, (v + 1) % n), 1)
     return g
@@ -82,7 +82,7 @@ def test_c6_value_two():
 
 
 def test_star_value_one():
-    g = WeightedGraph()
+    g = WeightedGraph(range(5))
     for leaf in range(1, 5):
         g.add_weight((0, leaf), 1)
     assert brute_force_mincut(g).value == 1
@@ -90,7 +90,7 @@ def test_star_value_one():
 
 
 def test_two_vertex_minimum():
-    g = WeightedGraph()
+    g = WeightedGraph(range(2))
     g.add_weight((0, 1), 7)
     for fn in (stoer_wagner, brute_force_mincut):
         cut = fn(g)
@@ -299,7 +299,7 @@ def test_matches_max_flow_oracle_on_small_planted_graphs():
 @pytest.mark.parametrize("bridges", [1, 2, 3, 4])
 def test_two_cliques_cut_at_their_bridges(bridges):
     rng = random.Random(bridges)
-    g = WeightedGraph()
+    g = WeightedGraph(range(48))
     for base in (0, 24):
         for u in range(base, base + 24):
             for v in range(u + 1, base + 24):
@@ -339,7 +339,7 @@ def _sparse_ids(rng: random.Random, g: WeightedGraph) -> WeightedGraph:
 def _clique_chain(rng: random.Random, cliques: int, size: int) -> WeightedGraph:
     # every bridge is a minimum cut below the minimum degree, so which one a
     # run reports hangs on how it breaks ties
-    g = WeightedGraph()
+    g = WeightedGraph(range(cliques * size))
     for c in range(cliques):
         base = c * size
         for u in range(base, base + size):
@@ -394,11 +394,16 @@ def _check_against_oracles(g: WeightedGraph, name: str) -> None:
     _assert_consistent(g, cut)
 
 
+def _with_vertices(g: WeightedGraph, extra) -> WeightedGraph:
+    # the same weighted graph on a vertex set grown by extra
+    return WeightedGraph(g.vertices.union(extra), dict(g.edges()))
+
+
 def _heavy_cliques(rng: random.Random, sizes: list[int], max_w: int,
                    bridges: int) -> WeightedGraph:
     # cliques with weights up to max_w whose attachments climb far above
     # the bound, chained by unit bridges with random endpoints
-    g = WeightedGraph()
+    g = WeightedGraph(range(sum(sizes)))
     base = 0
     blocks = []
     for size in sizes:
@@ -428,7 +433,7 @@ def test_bound_drops_inside_a_phase():
     # bound to the bridge weight, and the other clique's vertices then
     # gather keys between that bound and the phase's cap
     for bridges in ((1, 6), (1, 6, 2, 7), (0, 6, 0, 7, 5, 11)):
-        g = WeightedGraph()
+        g = WeightedGraph(range(12))
         for base in (0, 6):
             for u in range(base, base + 6):
                 for v in range(u + 1, base + 6):
@@ -445,7 +450,9 @@ def test_bound_drops_inside_a_phase():
                            rng.randint(1, 4))
         # a light pendant on vertex 0 sets the first cap, often below the
         # clique attachments the phase gathers
-        g.add_weight((0, max(g.vertices) + 1), rng.randint(1, 9))
+        pendant = max(g.vertices) + 1
+        g = _with_vertices(g, [pendant])
+        g.add_weight((0, pendant), rng.randint(1, 9))
         _check_against_oracles(g, f"trial {trial}")
 
 
@@ -467,13 +474,14 @@ def test_bounds_of_one_and_zero():
         # a second component: the bound falls to 0 inside the first phase
         split = _heavy_cliques(rng, [rng.randint(2, 5)], 4, 0)
         offset = max(split.vertices) + 1
-        for (u, v), w in _heavy_cliques(rng, [rng.randint(2, 5)], 4, 0).edges():
+        second = _heavy_cliques(rng, [rng.randint(2, 5)], 4, 0)
+        split = _with_vertices(split, (v + offset for v in second.vertices))
+        for (u, v), w in second.edges():
             split.add_weight((u + offset, v + offset), w)
         _check_against_oracles(split, f"split {trial}")
         assert stoer_wagner(split).value == 0
     # an isolated vertex: the bound starts at 0 and no phase runs
-    g = _heavy_cliques(rng, [5], 10, 0)
-    g.vertices.add(9)
+    g = _with_vertices(_heavy_cliques(rng, [5], 10, 0), [9])
     cut = stoer_wagner(g)
     assert (cut.value, cut.side, cut.cut_edges) == (0, frozenset({9}), frozenset())
 
@@ -483,7 +491,7 @@ def test_ties_at_the_cap_broken_by_id():
     # degree, every clique vertex reaches it after one scan, and from then
     # on only the id rule orders them
     for size, pendant in ((5, 1), (6, 3), (8, 9)):
-        g = _complete(size)
+        g = _with_vertices(_complete(size), [size])
         for e, _ in list(g.edges()):
             g.add_weight(e, 9)
         g.add_weight((0, size), pendant)
