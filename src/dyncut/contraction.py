@@ -101,6 +101,9 @@ class StarInstance:
         # as unmapped); no answer depends on the order, since a view with a
         # queue is never read
         self._queue: dict[EdgeKey, tuple[int | None, int | None]] = {}
+        # edges moved besides each update's own: one per edge moved at a
+        # relabel and one per drain pop whose pair changed
+        self.moves = 0
 
     # -- representatives ----------------------------------------------------
 
@@ -221,6 +224,7 @@ class StarInstance:
                     r = rep[x]
                     if now:  # where a drain popping it first would move it
                         self._retarget((before, r), (after, r))
+                        self.moves += 1
                         budget -= 1
                     else:
                         queue[f] = (before, r) if other < x else (r, before)
@@ -250,6 +254,7 @@ class StarInstance:
             new = (rep[f[0]], rep[f[1]])
             if new != old:
                 self._retarget(old, new)
+                self.moves += 1
 
     def _retarget(self, old, new) -> None:
         """Move one stale edge's count from pair old to pair new."""

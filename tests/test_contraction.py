@@ -267,35 +267,21 @@ def test_lazy_settles_to_recontraction(seed):
     _drive(inst, seed * 13 + 5, 12, 220, check, DEFAULT_BUDGET_COEFF)
 
 
-def test_lazy_tiny_budget_still_coherent(monkeypatch):
+def test_lazy_tiny_budget_still_coherent():
     # starve the queue so relabels span many updates, then drain fully;
     # the budget is 1 edge move here, so each update may move its own edge
     # plus at most one queued one
     coeff = 1e-4
     inst = _star(16, threshold=12, center_coeff=1.0, seed=3)
-    moves = 0
-    retarget = StarInstance._retarget
-    apply_update = StarInstance.apply_update
-
-    def counted_retarget(self, *args):
-        nonlocal moves
-        moves += 1
-        retarget(self, *args)
-
-    def counted_apply_update(self, *args):
-        nonlocal moves
-        moves += 1  # the update's own edge, counted inline
-        return apply_update(self, *args)
-
-    monkeypatch.setattr(StarInstance, "_retarget", counted_retarget)
-    monkeypatch.setattr(StarInstance, "apply_update", counted_apply_update)
+    moved = 0  # the instance's move counter at the last check
     saw_pending = False
     def check(i):
-        nonlocal saw_pending, moves
+        nonlocal saw_pending, moved
         saw_pending = saw_pending or i.has_pending()
         _scan_consistency(i)
+        moves = 1 + i.moves - moved  # the update's own edge and the rest
         assert moves <= 1 + relabel_budget(16, i.graph.min_degree(), coeff)
-        moves = 0
+        moved = i.moves
 
     _drive(inst, 91, 16, 300, check, coeff)
     assert saw_pending, "budget never throttled the queue"
@@ -479,24 +465,19 @@ def test_relabel_moves_or_queues_all_its_stale_edges(monkeypatch, budget):
     inst = _star(16, threshold=12, center_coeff=1.0, seed=3)
     apply_update = StarInstance.apply_update
     drain = StarInstance._drain
-    retarget = StarInstance._retarget
     log: dict = {}
     outcomes = {"moved": 0, "queued": 0}
 
-    def counted_retarget(self, *args):
-        log["moves"] += 1
-        retarget(self, *args)
-
     def watched_drain(self, *args):
-        log["early"], log["queue"] = log["moves"], set(self._queue)
+        log["early"], log["queue"] = self.moves, set(self._queue)
         drain(self, *args)
 
     def watched_apply_update(self, key, sign, b):
-        reps, stale = list(self._rep), set(self._queue)
-        log.update(moves=0, early=None, queue=None)
+        reps, stale, start = list(self._rep), set(self._queue), self.moves
+        log.update(early=None, queue=None)
         out = apply_update(self, key, sign, b)
-        assert log["moves"] <= b  # besides the update's own edge
-        early = log["moves"] if log["early"] is None else log["early"]
+        assert self.moves - start <= b  # besides the update's own edge
+        early = (self.moves if log["early"] is None else log["early"]) - start
         queue = set(self._queue) if log["queue"] is None else log["queue"]
         changed = [w for w in range(self.graph.n) if reps[w] != self._rep[w]]
         assert len(changed) <= 1
@@ -512,7 +493,6 @@ def test_relabel_moves_or_queues_all_its_stale_edges(monkeypatch, budget):
                 pytest.fail(f"vertex {w}: {early} of {len(fresh)} stale edges moved")
         return out
 
-    monkeypatch.setattr(StarInstance, "_retarget", counted_retarget)
     monkeypatch.setattr(StarInstance, "_drain", watched_drain)
     monkeypatch.setattr(StarInstance, "apply_update", watched_apply_update)
     _drive(inst, 91, 16, 300, _scan_consistency, budget=budget)
