@@ -110,6 +110,7 @@ def cmd_run(args: argparse.Namespace) -> int:
               file=sys.stderr)
     # the views' state at the end of the run
     print(f"# queue_length={engine.queue_length()}", file=sys.stderr)
+    print(f"# moves={engine.moves()}", file=sys.stderr)
     joined = ",".join(f"{r:.4f}" for r in engine.completeness())
     print(f"# completeness={joined}", file=sys.stderr)
     print(f"# elapsed_s={elapsed:.3f}", file=sys.stderr)

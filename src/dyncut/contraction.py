@@ -53,7 +53,13 @@ class StarInstance:
     into an empty dict the caller may hand in (a packing's weights, which
     follow each write) or else its own; the quotient it hands out reads
     that dict. apply_update counts or uncounts the update's own edge
-    inline; every other edge moves through _retarget.
+    inline, and moves a relabeled vertex's edges inline too, with no call
+    per edge: each edge in turn, one unit off the pair before, then one on
+    the pair after. Only the drain moves an edge through _retarget. The
+    counter moves is the number of edges moved besides each update's own:
+    one per edge moved at a relabel (one whose other endpoint has no
+    representative too, though its count stays unmapped) and one per drain
+    pop whose pair changed.
 
     Relabeling keeps one invariant: an edge outside the relabel queue is
     counted under its endpoints' current representatives, and the queue
@@ -101,8 +107,7 @@ class StarInstance:
         # as unmapped); no answer depends on the order, since a view with a
         # queue is never read
         self._queue: dict[EdgeKey, tuple[int | None, int | None]] = {}
-        # edges moved besides each update's own: one per edge moved at a
-        # relabel and one per drain pop whose pair changed
+        # edges moved besides each update's own, counted as above
         self.moves = 0
 
     # -- representatives ----------------------------------------------------
@@ -215,19 +220,43 @@ class StarInstance:
                 after = rep[other]
                 edges = self.graph.neighbors(other)
                 now = len(edges) <= budget  # else the budget defers them all
+                weights, unmapped, moved = self._weights, 0, 0
                 for x in edges:
                     if x == center:  # an insertion's own edge, not counted yet
                         continue
-                    f = (other, x) if other < x else (x, other)
-                    if f in queue:
-                        continue
+                    if queue or not now:  # no key is made while none is queued
+                        f = (other, x) if other < x else (x, other)
+                        if f in queue:
+                            continue
                     r = rep[x]
-                    if now:  # where a drain popping it first would move it
-                        self._retarget((before, r), (after, r))
-                        self.moves += 1
-                        budget -= 1
-                    else:
+                    if not now:
                         queue[f] = (before, r) if other < x else (r, before)
+                        continue
+                    # move the count from (before, r) to (after, r), where a
+                    # drain popping the edge first would move it: one unit
+                    # off, then one unit on
+                    moved += 1
+                    if r is None:  # unmapped before and after
+                        continue
+                    if before is None:
+                        unmapped -= 1
+                    elif before != r:
+                        c = (before, r) if before < r else (r, before)
+                        w = weights.get(c, 0) - 1
+                        if w > 0:
+                            weights[c] = w
+                        elif w == 0:
+                            del weights[c]
+                        else:
+                            raise WeightError(f"weight of {c} would become {w}")
+                    if after is None:
+                        unmapped += 1
+                    elif after != r:
+                        c = (after, r) if after < r else (r, after)
+                        weights[c] = weights.get(c, 0) + 1
+                self._unmapped += unmapped
+                self.moves += moved
+                budget -= moved
         a, b = (rep[u], rep[v]) if sign == 1 else counted
         # count (or uncount) the update's own edge under (a, b)
         if a is None or b is None:

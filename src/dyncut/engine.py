@@ -170,6 +170,11 @@ class Engine:
         instances; each instance holds an edge at most once."""
         return sum(inst.queue_length() for inst in self._views)
 
+    def moves(self) -> int:
+        """Edges moved besides each update's own since the engine was
+        built, summed over the distinct instances."""
+        return sum(inst.moves for inst in self._views)
+
     def audit(self) -> None:
         """Check the engine's invariants; raises AssertionError naming the
         first broken one. Runs the graph's audit; then, per distinct view,

@@ -53,8 +53,9 @@ class ForestPacking:
     strictly deeper, at most once per level.
 
     Edges are named by their canonical keys (edge_key order), taken as
-    given: the caller makes each key once. A caller may write the weights
-    dict as its own: the packing follows each write. audit() checks the
+    given: the caller makes each key once; apply_delta rejects one with an
+    endpoint outside vertices. A caller may write the weights dict as its
+    own: the packing follows each write. audit() checks the
     invariants above, each level's forest and the cached prefix unions.
     """
 
@@ -103,6 +104,8 @@ class ForestPacking:
 
     def apply_delta(self, e: EdgeKey, delta: int) -> None:
         """Shift weight(e) by delta, decomposed into unit changes."""
+        if not (e[0] in self.vertices and e[1] in self.vertices):
+            raise ValueError(f"edge {e} has an endpoint outside the vertex set")
         if self.weights.get(e, 0) + delta < 0:
             raise WeightError(f"weight of {e} would become negative")
         for _ in range(delta):

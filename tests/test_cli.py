@@ -62,6 +62,8 @@ def test_run_cycle_value(tmp_path, capsys):
     assert "# updates_per_s=" not in err
     assert "# queue_length=" in err
     assert "# completeness=" in err
+    # every view of this run is the identity, which never relabels
+    assert "# moves=0" in lines
 
 
 def test_run_reads_stdin(tmp_path, capsys, monkeypatch):

@@ -218,10 +218,12 @@ def test_eager_matches_recontraction_everywhere(seed):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_eager_equals_full_lazy_drain(seed):
-    # at n = 32 the default budget, 32 * 5^4 / delta >= 645 edge moves,
-    # exceeds any degree, so the lazy instance moves each relabeled vertex's
-    # edges within the update that relabels it and must match the eager one
-    # move for move
+    # a relabel that moves its vertex's stale edges at once (a budget of
+    # math.inf) must end where queueing them all (a budget of 0) and then
+    # draining the queue in full ends, after every update and with as many
+    # moves; the stream keeps about one edge per vertex, so non-centers
+    # often lose their last center neighbor and gain one again, and
+    # representatives go to and from None with stale edges to move
     n = 32
     graph = DynamicGraph(n)
     eager, lazy = (
@@ -231,11 +233,13 @@ def test_eager_equals_full_lazy_drain(seed):
     assert eager.centers == lazy.centers != frozenset(range(n))
     rng = random.Random(seed + 40)
     present: set = set()
-    relabels = 0
+    queued = to_none = from_none = 0
     for _ in range(400):
-        u, v = rng.sample(range(n), 2)
-        e = edge_key(u, v)
-        reps = [eager.representative(x) for x in range(n)]
+        if len(present) >= n:
+            e = rng.choice(sorted(present))
+        else:
+            e = edge_key(*rng.sample(range(n), 2))
+        reps = list(eager._rep)
         if e in present:
             sign = -1
             graph.delete_edge(e)
@@ -244,15 +248,20 @@ def test_eager_equals_full_lazy_drain(seed):
             sign = 1
             graph.insert_edge(e)
             present.add(e)
-        budget = relabel_budget(n, graph.min_degree())
         eager.apply_update(e, sign, math.inf)
-        lazy.apply_update(e, sign, budget)
+        lazy.apply_update(e, sign, 0)
+        queued += lazy.queue_length()
+        lazy._drain(math.inf)
         assert eager.contracted_graph() == lazy.contracted_graph()
-        assert lazy.queue_length() == 0 and not lazy.has_pending()
-        _scan_consistency(eager)
-        _scan_consistency(lazy)
-        relabels += reps != [eager.representative(x) for x in range(n)]
-    assert relabels >= 10
+        assert eager._unmapped == lazy._unmapped
+        assert eager.moves == lazy.moves
+        eager.audit()
+        lazy.audit()
+        for was, now in zip(reps, eager._rep):
+            to_none += was is not None and now is None
+            from_none += was is None and now is not None
+    assert queued >= 20 and to_none >= 10 and from_none >= 10, (
+        queued, to_none, from_none)
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -95,6 +95,19 @@ def test_decrement_below_zero_rejected():
         p.apply_delta((0, 1), -2)
 
 
+def test_delta_outside_the_vertex_set_rejected():
+    # rejected where it is written, through apply_delta or the weights dict,
+    # before any weight or forest changes
+    p = ForestPacking(2, 4, {0, 1})
+    with pytest.raises(ValueError, match="outside the vertex set"):
+        p.apply_delta((2, 3), 1)
+    with pytest.raises(ValueError, match="outside the vertex set"):
+        p.weights[(1, 2)] = 1
+    assert p.weights == {} and p.level_forest(0) == set()
+    assert p.union_graph().edge_count == 0
+    p.audit()
+
+
 def test_delta_zero_is_noop():
     p = _packed_triangle()
     snapshot = {i: p.level_forest(i) for i in range(2)}
