@@ -50,12 +50,15 @@ class StarInstance:
     counter, under one pair of endpoint representatives, and a quotient
     edge's preimage is read from those pairs on demand. The instance writes
     the quotient weights itself, never through WeightedGraph.add_weight,
-    into an empty dict the caller may hand in (a packing's weights, which
-    follow each write) or else its own; the quotient it hands out reads
-    that dict. apply_update counts or uncounts the update's own edge
-    inline, and moves a relabeled vertex's edges inline too, with no call
-    per edge: each edge in turn, one unit off the pair before, then one on
-    the pair after. Only the drain moves an edge through _retarget. The
+    into the dict the caller may hand in, else its own; the quotient it
+    hands out reads that dict. A dict handed in is either empty (a
+    packing's weights, which follow each write) or, for an identity view
+    (every vertex a center) that is never updated, the graph's edge record
+    DynamicGraph.unit_weights, so that view's quotient is the graph
+    itself. apply_update counts or uncounts the update's own edge inline,
+    and moves a relabeled vertex's edges inline too, with no call per edge:
+    each edge in turn, one unit off the pair before, then one on the pair
+    after. Only the drain moves an edge through _retarget. The
     counter moves is the number of edges moved besides each update's own:
     one per edge moved at a relabel (one whose other endpoint has no
     representative too, though its count stays unmapped) and one per drain

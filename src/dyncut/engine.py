@@ -53,22 +53,26 @@ class Engine:
     each vertex in id order with probability p and feeds the sampler of a
     StarInstance on those centers; one shared identity instance, which never
     samples, fills every cell whose centers are all of V. The view table
-    maps each distinct instance to its packing, 2^(i+1) forests deep for
-    the deepest level i it fills, or to None in direct mode; a level j query
-    reads the union of the first 2^(j+1) forests, or in direct mode the
-    quotient itself. A packed view writes its quotient weights straight
-    into its packing's weights, so the packing takes each unit change as
-    the view makes it. An update is applied once to the one DynamicGraph
-    every instance reads, then reaches every view alike with one canonical
-    key and one relabel budget: relabel_budget(n, delta, budget_coeff) in
-    either mode, with delta read once, or no bound, with delta unread, when
-    every view is the identity, which never queues a relabel. A query runs a
-    static cut on each complete distinct instance at the level just below
-    the minimum degree and never answers below the true cut value; the
-    minimum degree is an always-valid fallback. A simple graph's minimum
-    degree is at most n - 1, so a query can read every level built (there
-    are none at n = 1). audit() checks the engine's invariants on demand;
-    `dyncut verify` runs it after every query.
+    maps each distinct instance that updates reach to its packing, 2^(i+1)
+    forests deep for the deepest level i it fills, or to None in direct
+    mode; a level j query reads the union of the first 2^(j+1) forests, or
+    in direct mode the quotient itself. A packed view writes its quotient
+    weights straight into its packing's weights, so the packing takes each
+    unit change as the view makes it. In direct mode the identity is built
+    on the graph's edge record (DynamicGraph.unit_weights), so its quotient
+    is the input graph itself, and it is left out of the view table: no
+    update reaches it. An update is applied once to the one DynamicGraph
+    every instance reads, then reaches every view in the table alike with
+    one canonical key and one relabel budget: relabel_budget(n, delta,
+    budget_coeff) in either mode, with delta read once, or no bound, with
+    delta unread, when every view is the identity, which never queues a
+    relabel. A query runs a static cut on each complete distinct instance at
+    the level just below the minimum degree and never answers below the
+    true cut value; the minimum degree is an always-valid fallback. A
+    simple graph's minimum degree is at most n - 1, so a query can read
+    every level built (there are none at n = 1). audit() checks the
+    engine's invariants on demand; `dyncut verify` runs it after every
+    query.
     """
 
     def __init__(self, n: int, config: EngineConfig | None = None) -> None:
@@ -92,9 +96,10 @@ class Engine:
         else:
             self.copies = self.config.copies
         self.graph = DynamicGraph(n)
-        # The view table: each distinct instance with its packing (None in
-        # direct mode), as deep as the deepest level i it fills, so a level
-        # i cell reads the union of its first 2^(i+1) forests.
+        # The view table: each distinct instance that updates reach with its
+        # packing (None in direct mode), as deep as the deepest level i it
+        # fills, so a level i cell reads the union of its first 2^(i+1)
+        # forests. The direct-mode identity reads the graph and is not in it.
         self._views: dict[StarInstance, ForestPacking | None] = {}
         everyone = frozenset(range(n))
         # Grid of copies x levels whose cells alias the shared instances;
@@ -126,11 +131,15 @@ class Engine:
 
     def _view(self, centers: frozenset[int], rng: random.Random | None,
               level: int) -> StarInstance:
-        """A new view on centers, entered in the view table with its packing."""
-        packing = None
+        """A new view on centers, entered in the view table with its
+        packing; in direct mode the identity is built on the graph's edge
+        record instead, so its quotient is the input graph, and left out."""
+        packing = weights = None
         if self.config.mode == MODE_PACKED:
             packing = ForestPacking(2 ** (level + 1), self.n, centers)
-        weights = None if packing is None else packing.weights
+            weights = packing.weights
+        elif len(centers) == self.n:
+            return StarInstance(self.graph, centers, rng, self.graph.unit_weights)
         inst = StarInstance(self.graph, centers, rng, weights)
         self._views[inst] = packing
         return inst
@@ -166,20 +175,22 @@ class Engine:
         ]
 
     def queue_length(self) -> int:
-        """Live edges queued as possibly stale, summed over the distinct
-        instances; each instance holds an edge at most once."""
+        """Live edges queued as possibly stale, summed over the view table;
+        each instance holds an edge at most once."""
         return sum(inst.queue_length() for inst in self._views)
 
     def moves(self) -> int:
         """Edges moved besides each update's own since the engine was
-        built, summed over the distinct instances."""
+        built, summed over the view table."""
         return sum(inst.moves for inst in self._views)
 
     def audit(self) -> None:
         """Check the engine's invariants; raises AssertionError naming the
-        first broken one. Runs the graph's audit; then, per distinct view,
-        checks that it reads the engine's graph and runs the audit of its
-        packing (in packed mode, over the weights the view writes) and its own."""
+        first broken one. Runs the graph's audit, which also covers the
+        direct-mode identity's quotient, the graph's edge record; then, per
+        view in the view table, checks that it reads the engine's graph and
+        runs the audit of its packing (in packed mode, over the weights the
+        view writes) and its own."""
         self.graph.audit()
         for inst, packing in self._views.items():
             if inst.graph is not self.graph:
@@ -208,7 +219,7 @@ class Engine:
         for inst in dict.fromkeys(row[level] for row in self._instances):
             if not inst.is_complete():
                 continue
-            packing = self._views[inst]
+            packing = self._views.get(inst)
             if packing is not None:
                 quotient = packing.union_graph(2 ** (level + 1))
             else:

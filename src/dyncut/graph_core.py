@@ -40,6 +40,13 @@ class DynamicGraph:
     degree in O(1) per update from the number of vertices of each degree.
     The argmin is deterministic (ties broken by smallest vertex id) and is
     found by a scan on demand.
+
+    The live edges are held once, in the public record unit_weights, which
+    maps each canonical key to 1 in insertion order; an update writes it
+    only after its checks pass, and edges() and edge_count read it. It is
+    read-only to everyone else: a WeightedGraph built on it is the input
+    graph with unit weights, which is how the engine's direct-mode identity
+    view reads it.
     """
 
     def __init__(self, n: int) -> None:
@@ -52,7 +59,8 @@ class DynamicGraph:
         self._count = [0] * n
         self._count[0] = n
         self._min = 0
-        self._edge_count = 0
+        # the live edges, each canonical key mapped to 1
+        self.unit_weights: dict[EdgeKey, int] = {}
 
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < self.n:
@@ -66,7 +74,7 @@ class DynamicGraph:
             raise DuplicateEdgeError(f"edge {e} already present")
         self._adj[u].add(v)
         self._adj[v].add(u)
-        self._edge_count += 1
+        self.unit_weights[e] = 1
         count = self._count
         for x in (u, v):
             d = len(self._adj[x])
@@ -83,7 +91,7 @@ class DynamicGraph:
             raise MissingEdgeError(f"edge {e} not present")
         self._adj[u].discard(v)
         self._adj[v].discard(u)
-        self._edge_count -= 1
+        del self.unit_weights[e]
         count = self._count
         for x in (u, v):
             d = len(self._adj[x])
@@ -110,23 +118,22 @@ class DynamicGraph:
         return next(v for v, adj in enumerate(self._adj) if len(adj) == m)
 
     def edges(self) -> Iterator[EdgeKey]:
-        for u in range(self.n):
-            for v in self._adj[u]:
-                if u < v:
-                    yield (u, v)
+        """Canonical keys of the live edges, in insertion order."""
+        return iter(self.unit_weights)
 
     @property
     def edge_count(self) -> int:
-        return self._edge_count
+        return len(self.unit_weights)
 
     def audit(self) -> None:
         """Check the graph's bookkeeping against its adjacency.
 
-        Raises AssertionError naming the first broken check and a vertex or
-        degree that breaks it: "adjacency" (a self-loop, an out-of-range or
+        Raises AssertionError naming the first broken check and a vertex,
+        degree or edge that breaks it: "adjacency" (a self-loop, an out-of-range or
         one-sided neighbor), "degree counts" (_count is not the degree
         histogram), "minimum degree" (_min is not its smallest occupied
-        degree) or "edge count".
+        degree) or "edge record" (unit_weights does not map exactly the
+        adjacency's edges to 1).
         """
         n, adj = self.n, self._adj
         histogram = [0] * n
@@ -147,10 +154,13 @@ class DynamicGraph:
             raise AssertionError(
                 f"minimum degree: held as {self._min}, vertex {low} has"
                 f" degree {len(adj[low])}")
-        edges = sum(map(len, adj)) // 2
-        if self._edge_count != edges:
+        held = self.unit_weights
+        edges = dict.fromkeys(((u, v) for u in range(n) for v in adj[u] if u < v), 1)
+        if held != edges:
+            e = min(e for e in held.keys() | edges.keys() if held.get(e) != edges.get(e))
             raise AssertionError(
-                f"edge count: held as {self._edge_count}, the adjacency has {edges}")
+                f"edge record: edge {e} weighs {held.get(e, 0)} and is"
+                f" {'' if e in edges else 'not '}an edge of the adjacency")
 
 
 class WeightedGraph:

@@ -101,8 +101,12 @@ def _corrupt_min(eng, view):
     eng.graph._min += 1
 
 
-def _corrupt_edge_count(eng, view):
-    eng.graph._edge_count += 1
+def _corrupt_record_key(eng, view):
+    del eng.graph.unit_weights[next(iter(eng.graph.unit_weights))]
+
+
+def _corrupt_record_weight(eng, view):
+    eng.graph.unit_weights[next(iter(eng.graph.unit_weights))] = 2
 
 
 # (the check each corruption breaks, the corruption)
@@ -117,7 +121,8 @@ CORRUPTIONS = [
     ("adjacency", _corrupt_adjacency),
     ("degree counts", _corrupt_count),
     ("minimum degree", _corrupt_min),
-    ("edge count", _corrupt_edge_count),
+    ("edge record", _corrupt_record_key),
+    ("edge record", _corrupt_record_weight),
 ]
 
 

@@ -361,18 +361,21 @@ def test_packed_and_direct_views_agree_under_a_binding_budget():
     # must change nothing the view holds, so with queues left undrained by
     # a budget of one edge move per update, the packed and direct engines'
     # views agree view by view, and each packed view shares its packing's
-    # weights dict
+    # weights dict; the identity agrees too, where the direct one reads the
+    # graph's edge record and the packed one writes its packing's weights
     stream = generate_stream("dense-regular", 32, 1500, 4, degree=10)
     engines = [Engine(32, _cfg(mode, seed=4, center_coeff=1.0,
                                budget_coeff=1e-4)) for mode in MODES]
     for ev in stream.events:
         for eng in engines:
             eng.update(ev.edge, 1 if ev.kind == INSERT else -1)
-    packed, direct = (list(eng._views.items()) for eng in engines)
+    packed, direct = (list(dict.fromkeys(inst for row in eng._instances for inst in row))
+                      for eng in engines)
     assert len(packed) == len(direct) > 1
-    assert sum(view.queue_length() for view, _ in direct) > 0
-    for (p, packing), (d, _) in zip(packed, direct):
-        assert p._weights is packing.weights
+    assert sum(view.queue_length() for view in direct) > 0
+    assert direct[0]._weights is engines[1].graph.unit_weights
+    for p, d in zip(packed, direct):
+        assert p._weights is engines[0]._views[p].weights
         assert p.centers == d.centers
         assert p.contracted_graph() == d.contracted_graph()
         assert p.queue_length() == d.queue_length()
@@ -400,7 +403,8 @@ def _count_calls(monkeypatch, owner, name):
 @pytest.mark.parametrize("mode", MODES)
 def test_identity_views_are_shared(monkeypatch, mode):
     # At the default coefficient every level is an identity view, so each
-    # update reaches one instance and each query runs one static cut,
+    # update reaches one instance (none in direct mode, where the identity
+    # reads the graph's edge record) and each query runs one static cut,
     # however many copies the grid has.
     built = _count_calls(monkeypatch, StarInstance, "__init__")
     updates = _count_calls(monkeypatch, StarInstance, "apply_update")
@@ -409,7 +413,7 @@ def test_identity_views_are_shared(monkeypatch, mode):
     assert built[0] == 1  # the identity, and no instance drawn per cell
     edges = _two_k4_bridge()
     _fill(eng, edges)
-    assert updates[0] == len(edges)
+    assert updates[0] == (len(edges) if mode == MODE_PACKED else 0)
     assert eng.query_value() == 1
     assert eng.query_cut().cut_edges == frozenset({(3, 4)})
     assert cuts[0] == 2
@@ -428,11 +432,14 @@ def test_default_coefficient_builds_the_identity_only(monkeypatch, n):
     # Every level built has a threshold 2^i <= n - 1, where the center
     # probability 800 * log2(n) / 2^i is at least 1 for n <= 16384, so no
     # cell draws centers: the default grid of 5 * log2(n) copies builds
-    # one instance in all.
+    # one instance in all, the identity on the graph's edge record, which
+    # no update reaches: the view table is empty.
     built = _count_calls(monkeypatch, StarInstance, "__init__")
     eng = Engine(n, EngineConfig(mode=MODE_DIRECT))
     assert built[0] == 1
-    assert list(eng._views) == [eng._instances[0][0]]
+    assert not eng._views
+    identity = eng._instances[0][0]
+    assert identity._weights is eng.graph.unit_weights
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -442,11 +449,11 @@ def test_views_store_no_pair_outside_the_queue(mode):
     # mode, exceeds the 496 possible edges, so
     # each update drains every queue it fills and no view keeps any pair;
     # at center_coeff 1 levels 3..4 contract, so the four copies hold eight
-    # contracting views beside the shared identity view, and their
-    # representatives move
+    # contracting views beside the shared identity view (in the view table
+    # in packed mode only), and their representatives move
     n = 32
     eng = Engine(n, _cfg(mode, copies=4, center_coeff=1.0))
-    assert len(eng._views) == 9
+    assert len(eng._views) == (9 if mode == MODE_PACKED else 8)
     rng = random.Random(13)
     present = set()
     relabels = 0
@@ -469,7 +476,8 @@ def test_views_store_no_pair_outside_the_queue(mode):
 def test_contracting_levels_keep_their_copies(monkeypatch, mode):
     # center probability min(1, 2 * log2(64) / 2^i): levels 0..3 are the
     # identity, levels 4..5 contract and keep one instance per copy; every
-    # instance reads the engine's graph, so an insert changes one graph
+    # instance reads the engine's graph, so an insert changes one graph and
+    # reaches each contracting view, and the identity only in packed mode
     updates = _count_calls(monkeypatch, StarInstance, "apply_update")
     graph_inserts = _count_calls(monkeypatch, DynamicGraph, "insert_edge")
     copies = 3
@@ -482,8 +490,44 @@ def test_contracting_levels_keep_their_copies(monkeypatch, mode):
             assert len({id(eng._views[row[i]]) for row in eng._instances}) == len(distinct)
     assert all(inst.graph is eng.graph for row in eng._instances for inst in row)
     eng.insert((0, 1))
-    assert updates[0] == 1 + copies * len(contracting)
+    assert updates[0] == (mode == MODE_PACKED) + copies * len(contracting)
     assert graph_inserts[0] == 1
+
+
+def test_direct_identity_is_the_input_graph(monkeypatch):
+    # center probability min(1, log2(16) / 2^i): levels 0..2 are the
+    # identity and level 3 contracts. In direct mode no update reaches the
+    # identity, each reaches every contracting view, and after deletions
+    # and re-insertions the identity's quotient is the live input graph
+    updated = []
+    apply_update = StarInstance.apply_update
+
+    def watched(self, key, sign, budget):
+        updated.append(self)
+        return apply_update(self, key, sign, budget)
+
+    monkeypatch.setattr(StarInstance, "apply_update", watched)
+    n = 16
+    eng = Engine(n, _cfg(MODE_DIRECT, copies=3, center_coeff=1.0))
+    identity = eng._instances[0][0]
+    assert len(identity.centers) == n
+    assert len(eng._views) == 3  # one contracting view per copy
+    rng = random.Random(21)
+    present, seen = set(), set()
+    reinserted = 0
+    for _ in range(400):
+        e = edge_key(*rng.sample(range(n), 2))
+        sign = -1 if e in present else 1
+        reinserted += sign == 1 and e in seen
+        present ^= {e}
+        seen.add(e)
+        eng.update(e, sign)
+    assert reinserted > 50 and len(present) > 30
+    assert identity not in updated
+    assert len(updated) == 400 * len(eng._views)
+    assert identity.is_complete()
+    assert identity.contracted_graph() == WeightedGraph(range(n), dict.fromkeys(present, 1))
+    eng.audit()
 
 
 @pytest.mark.parametrize("mode", MODES)
