@@ -11,7 +11,7 @@ import time
 from .contraction import DEFAULT_BUDGET_COEFF, DEFAULT_CENTER_COEFF
 from .engine import MODE_DIRECT, MODE_PACKED, Engine, EngineConfig
 from .graph_core import GraphError, WeightedGraph
-from .mincut import BRUTE_FORCE_LIMIT, brute_force_mincut, stoer_wagner
+from .mincut import brute_force_mincut, reference_cut_value
 from .streams import (
     DELETE,
     INSERT,
@@ -28,8 +28,12 @@ from .streams import (
 def _read_stream(path: str) -> UpdateStream:
     if path == "-":
         return parse_stream(sys.stdin.read())
-    with open(path, encoding="utf-8") as fh:
-        return parse_stream(fh.read())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:  # missing, unreadable, not UTF-8
+        raise UsageError(str(exc)) from None
+    return parse_stream(text)
 
 
 def _engine_config(args: argparse.Namespace) -> EngineConfig:
@@ -69,8 +73,11 @@ def cmd_gen(args: argparse.Namespace) -> int:
     if args.output == "-":
         sys.stdout.write(text)
     else:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:  # such as a path in a missing directory
+            raise UsageError(str(exc)) from None
     return 0
 
 
@@ -128,17 +135,16 @@ def _new_engine(n: int, config: EngineConfig) -> Engine:
         raise UsageError(str(exc)) from exc
 
 
-def _oracle_for(name: str, n: int):
-    if n < 2:  # neither oracle has a cut to check on one vertex
-        raise UsageError(f"verify needs at least two vertices, got {n}")
-    if name == "brute" or (name == "auto" and n <= BRUTE_FORCE_LIMIT - 4):
-        if n > BRUTE_FORCE_LIMIT:
-            raise UsageError(
-                f"brute oracle limited to {BRUTE_FORCE_LIMIT} vertices;"
-                " rerun with --oracle stoer"
-            )
-        return brute_force_mincut
-    return stoer_wagner
+# enumeration, the plainest check, doubles its work with each vertex (2**15
+# bipartitions at 16); above that the textbook Stoer-Wagner checks each query
+_ENUMERATION_LIMIT = 16
+
+
+def _oracle_value(shadow: WeightedGraph) -> int:
+    """The shadow graph's minimum cut value, by code the engine never runs."""
+    if len(shadow.vertices) <= _ENUMERATION_LIMIT:
+        return brute_force_mincut(shadow).value
+    return reference_cut_value(shadow)
 
 
 def _witness_problem(shadow: WeightedGraph, witness) -> str | None:
@@ -166,7 +172,8 @@ def _witness_problem(shadow: WeightedGraph, witness) -> str | None:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     stream = _read_stream(args.stream)
-    oracle = _oracle_for(args.oracle, stream.n)
+    if stream.n < 2:  # no oracle has a cut to check on one vertex
+        raise UsageError(f"verify needs at least two vertices, got {stream.n}")
     engine = _new_engine(stream.n, _engine_config(args))
     shadow = WeightedGraph(range(stream.n))
     checked = 0
@@ -176,7 +183,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             _update(engine, stream, i)
             shadow.add_weight(ev.edge, 1 if ev.kind == INSERT else -1)
         else:
-            expected = oracle(shadow).value
+            expected = _oracle_value(shadow)
             checked += 1
             if ev.kind == QUERY_VALUE:
                 got = engine.query_value()
@@ -244,17 +251,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_engine_flags(run)
     run.set_defaults(func=cmd_run)
 
-    verify = sub.add_parser("verify", help="replay a stream against a static oracle")
+    verify = sub.add_parser(
+        "verify", help="replay a stream against a static oracle",
+        description="replay a stream and check every answer against an oracle"
+        " that shares no code with the engine: bipartition enumeration up to"
+        f" {_ENUMERATION_LIMIT} vertices, the textbook Stoer-Wagner above")
     verify.add_argument("stream")
     _add_engine_flags(verify)
-    verify.add_argument("--oracle", choices=("auto", "brute", "stoer"),
-                        default="auto",
-                        help="brute enumerates every bipartition (at most"
-                        f" {BRUTE_FORCE_LIMIT} vertices) and checks the engine"
-                        " independently; stoer is the engine's own static cut,"
-                        " so it checks the views but not that cut; auto picks"
-                        f" brute up to {BRUTE_FORCE_LIMIT - 4} vertices"
-                        " (default: auto)")
     verify.set_defaults(func=cmd_verify)
 
     return parser

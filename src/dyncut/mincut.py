@@ -1,9 +1,10 @@
 """Static global minimum cut: bound-driven maximum-adjacency contraction
-(behind the historical name ``stoer_wagner``) and an exhaustive oracle."""
+(behind the historical name ``stoer_wagner``) and two oracles that share no
+code with it, an exhaustive one and the textbook Stoer-Wagner."""
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from dataclasses import dataclass
 
 from .graph_core import EdgeKey, WeightedGraph
@@ -211,3 +212,43 @@ def brute_force_mincut(g: WeightedGraph) -> CutResult:
             best_side = side
     side_set = frozenset(best_side)
     return CutResult(best_value, side_set, _crossing_edges(g, side_set))
+
+
+def reference_cut_value(g: WeightedGraph) -> int:
+    """Global minimum cut value by Stoer and Wagner's textbook algorithm.
+
+    Each phase orders the vertices by maximum adjacency, ties and the
+    start by smallest id; the last vertex's attachment is a cut of the
+    phase, and the last two vertices are merged (Stoer and Wagner, "A
+    simple min-cut algorithm", JACM 1997). The minimum over the phases is
+    the answer, 0 on a disconnected graph. It shares no code with
+    ``stoer_wagner``, so it can check that cut at any size.
+    """
+    if len(g.vertices) < 2:
+        raise ValueError("minimum cut needs at least two vertices")
+    adj: dict[int, dict[int, int]] = {v: {} for v in g.vertices}
+    for (u, v), w in g.edges():
+        adj[u][v] = adj[v][u] = w
+    best = None
+    while len(adj) > 1:
+        key = dict.fromkeys(adj, 0)
+        heap = [(0, v) for v in adj]  # (-key, vertex), stale entries skipped
+        heapify(heap)
+        prev = last = None
+        while heap:
+            k, u = heappop(heap)
+            if key.get(u) != -k:
+                continue
+            phase = key.pop(u)
+            for x, w in adj[u].items():
+                if x in key:
+                    key[x] += w
+                    heappush(heap, (-key[x], x))
+            prev, last = last, u
+        if best is None or phase < best:
+            best = phase
+        for x, w in adj.pop(last).items():
+            del adj[x][last]
+            if x != prev:
+                adj[prev][x] = adj[x][prev] = adj[prev].get(x, 0) + w
+    return best

@@ -12,6 +12,8 @@ from pathlib import Path
 
 import pytest
 
+import dyncut.cli
+import dyncut.engine
 from dyncut import CutResult, Engine
 from dyncut.cli import main
 
@@ -165,14 +167,6 @@ def test_verify_header_only_passes(tmp_path, capsys):
     assert "checked 0 queries" in out
 
 
-def test_verify_brute_size_guard(tmp_path, capsys):
-    path = tmp_path / "big.txt"
-    path.write_text("n 30\n+ 0 1\n?\n")
-    code, _, err = _run(capsys, "verify", str(path), "--oracle", "brute")
-    assert code == 2
-    assert "--oracle stoer" in err
-
-
 def test_verify_one_vertex_exit_two(tmp_path, capsys):
     # no oracle has a cut to check on one vertex
     path = tmp_path / "one.txt"
@@ -183,12 +177,39 @@ def test_verify_one_vertex_exit_two(tmp_path, capsys):
     assert err.startswith("dyncut: ") and "two vertices" in err
 
 
-def test_verify_stoer_has_no_size_limit(tmp_path, capsys):
+def test_verify_disconnected_graph_above_enumeration_size(tmp_path, capsys):
+    # 70 vertices and one edge: the reference oracle answers 0, as the engine does
     path = tmp_path / "wide.txt"
     path.write_text("n 70\n+ 0 1\n?\n")
     code, out, _ = _run(capsys, "verify", str(path))
     assert code == 0
     assert "checked 1 queries, 0 mismatches" in out
+
+
+@pytest.mark.parametrize("mode", ["packed", "direct"])
+def test_verify_catches_a_fault_in_the_static_cut(tmp_path, capsys, monkeypatch,
+                                                  mode):
+    # two K10s joined by two edges: the minimum cut, 2, lies below the
+    # minimum degree, 9, so the engine's answer is its static cut's; above
+    # 16 vertices the oracle must not share that cut, or the fault passes
+    lines = ["n 20"]
+    lines += [f"+ {u} {v}" for base in (0, 10)
+              for u in range(base, base + 10) for v in range(u + 1, base + 10)]
+    lines += ["+ 0 10", "+ 5 15", "?"]
+    path = tmp_path / "two_k10.txt"
+    path.write_text("\n".join(lines) + "\n")
+    static_cut = dyncut.engine.stoer_wagner
+
+    def one_too_many(g):
+        cut = static_cut(g)
+        return CutResult(cut.value + 1, cut.side, cut.cut_edges)
+
+    monkeypatch.setattr(dyncut.engine, "stoer_wagner", one_too_many)
+    monkeypatch.setattr(dyncut.cli, "stoer_wagner", one_too_many, raising=False)
+    code, out, err = _run(capsys, "verify", str(path), "--mode", mode)
+    assert code == 1
+    assert "checked 1 queries, 1 mismatches" in out
+    assert "MISMATCH at query 1: expected 2, got value 3" in err
 
 
 def test_verify_cut_queries(tmp_path, capsys):
@@ -349,6 +370,32 @@ def test_non_finite_budget_exit_two(tmp_path, capsys, command):
     assert code == 2
     assert out == ""
     assert err == "dyncut: budget_coeff must be finite and positive, got inf\n"
+
+
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (["run", "{missing}"], "No such file or directory"),
+        (["verify", "{missing}"], "No such file or directory"),
+        (["gen", "-n", "5", "--steps", "3", "-o", "{missing}/x.txt"],
+         "No such file or directory"),
+        (["run", "{binary}"], "'utf-8' codec can't decode byte 0xff"),
+        (["verify", "{binary}"], "'utf-8' codec can't decode byte 0xff"),
+    ],
+    ids=["run-missing", "verify-missing", "gen-missing-dir", "run-not-utf8",
+         "verify-not-utf8"],
+)
+def test_unreadable_file_exit_two(tmp_path, capsys, argv, message):
+    # status 1 means a wrong answer, so a file that cannot be read or
+    # written is reported as a usage error instead of with a traceback
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes(b"n 2\n+ 0 1\xff\n")
+    paths = {"missing": tmp_path / "missing", "binary": binary}
+    code, out, err = _run(capsys, *(a.format(**paths) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("dyncut: ") and message in err
+    assert err.count("\n") == 1
 
 
 def test_usage_error_exit_two(capsys):

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyncut import WeightedGraph, brute_force_mincut, edge_key, stoer_wagner
+from dyncut.mincut import reference_cut_value
 
 
 def _cut_weight(g: WeightedGraph, side: frozenset) -> int:
@@ -391,6 +392,7 @@ def _check_against_oracles(g: WeightedGraph, name: str) -> None:
     cut = stoer_wagner(g)
     assert cut.value == brute_force_mincut(g).value, name
     assert cut.value == _flow_mincut_value(g), name
+    assert cut.value == reference_cut_value(g), name
     _assert_consistent(g, cut)
 
 
@@ -574,6 +576,6 @@ _PINNED = [
 def test_pinned_answers_on_48_vertex_cluster_graphs(make, seed, value, side):
     g = make(seed)
     cut = stoer_wagner(g)
-    assert cut.value == value == _flow_mincut_value(g)
+    assert cut.value == value == _flow_mincut_value(g) == reference_cut_value(g)
     assert cut.side == frozenset(side)
     _assert_consistent(g, cut)
